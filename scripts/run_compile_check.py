@@ -9,11 +9,10 @@ import argparse
 
 import numpy as np
 
-from pedcascade.channels import ChannelConfig, compute_channels
-from pedcascade.data import WindowGeometry, extract_window, jittered_negatives, random_boxes
+from pedcascade.cascade import CascadeTrainConfig, forest_training_pool
+from pedcascade.channels import ChannelConfig
 from pedcascade.forest import default_candidate_rects, train_forest
 from pedcascade.forest2nn import compile_forest, verify_equivalence
-from pedcascade.geometry import iou
 from pedcascade.synth import SynthSpec, synth_dataset
 
 
@@ -25,22 +24,12 @@ def main():
     args = ap.parse_args()
 
     images, frames = synth_dataset(SynthSpec(n_frames=30, clutter=3.0), seed=args.seed)
-    ccfg = ChannelConfig("G_LUV")
-    geom = WindowGeometry()
-    rng = np.random.default_rng(args.seed)
-    pos, neg = [], []
-    for img, ann in zip(images, frames):
-        for b in ann.gt_boxes:
-            pos.append(compute_channels(extract_window(img, b, geom), ccfg))
-        negs = [
-            b for b in random_boxes(10, (img.height, img.width), rng, geom)
-            if max((iou(b, g) for g in ann.gt_boxes), default=0.0) < 0.5
-        ] + jittered_negatives(ann.gt_boxes, 3, (img.height, img.width), rng)
-        for b in negs:
-            neg.append(compute_channels(extract_window(img, b, geom), ccfg))
+    pairs = [(f.frame_id, img) for f, img in zip(frames, images)]
+    cfg = CascadeTrainConfig(channel_cfg=ChannelConfig("G_LUV"), forest_negatives_per_frame=10)
+    pos, neg = forest_training_pool(pairs, frames, cfg, np.random.default_rng(args.seed))
 
-    rects = default_candidate_rects(ccfg, geom.window)
-    model = train_forest(pos, neg, args.trees, rects, ccfg, geom.window)
+    rects = default_candidate_rects(cfg.channel_cfg, cfg.geometry.window)
+    model = train_forest(pos, neg, args.trees, rects, cfg.channel_cfg, cfg.geometry.window)
     print(f"forest: {len(model.trees)} trees (early_stop={model.early_stop})")
 
     net = compile_forest(model)

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import ChannelConfig, compute_channels
+from .channels import ChannelConfig, ChannelStack, compute_channels
 from .convnet import NetModel, NetSpec, TrainConfig, default_cifarnet, sgd_train
 from .data import (
     BatchRatio,
@@ -224,6 +224,37 @@ def _window_stacks(img, boxes, geom, channel_cfg):
     return [compute_channels(extract_window(img, b, geom), channel_cfg) for b in boxes]
 
 
+def forest_training_pool(
+    images: Sequence[Tuple[str, Image]],
+    frames: Sequence[FrameAnnotation],
+    cfg: CascadeTrainConfig,
+    rng: np.random.Generator,
+) -> Tuple[List[ChannelStack], List[ChannelStack]]:
+    """Channel stacks of the forest's positive and negative windows.
+
+    Positives are the GT boxes.  Negatives are, per frame,
+    cfg.forest_negatives_per_frame random boxes below cfg.policy.neg_iou with
+    every GT box, plus three jittered copies of each GT box.  Frames pair
+    with images by position.
+    """
+    pos, neg = [], []
+    for (_, img), ann in zip(images, frames):
+        pos.extend(_window_stacks(img, ann.gt_boxes, cfg.geometry, cfg.channel_cfg))
+        cand = random_boxes(
+            cfg.forest_negatives_per_frame, (img.height, img.width), rng, cfg.geometry,
+            min_height=max(1, int(cfg.sliding.min_height)),
+        )
+        keep = [
+            b for b in cand
+            if max((iou(b, g) for g in ann.gt_boxes), default=0.0) < cfg.policy.neg_iou
+        ]
+        keep += jittered_negatives(
+            ann.gt_boxes, 3, (img.height, img.width), rng, cfg.policy.neg_iou
+        )
+        neg.extend(_window_stacks(img, keep, cfg.geometry, cfg.channel_cfg))
+    return pos, neg
+
+
 def _collect_rescorer_pool(images, frames, proposals, cfg: CascadeTrainConfig, rng):
     """Labeled (window, 0/1) pool for the second stage, per the policy."""
     geom = cfg.net_geometry or cfg.geometry
@@ -300,21 +331,7 @@ def train_cascade(
         raise CascadeError("need aligned, non-empty images and frames")
     rng = np.random.default_rng(cfg.seed)
 
-    pos_stacks, neg_stacks = [], []
-    for (fid, img), ann in zip(images, frames):
-        pos_stacks.extend(_window_stacks(img, ann.gt_boxes, cfg.geometry, cfg.channel_cfg))
-        cand = random_boxes(
-            cfg.forest_negatives_per_frame, (img.height, img.width), rng, cfg.geometry,
-            min_height=max(1, int(cfg.sliding.min_height)),
-        )
-        keep = [
-            b for b in cand
-            if max((iou(b, g) for g in ann.gt_boxes), default=0.0) < cfg.policy.neg_iou
-        ]
-        keep += jittered_negatives(
-            ann.gt_boxes, 3, (img.height, img.width), rng, cfg.policy.neg_iou
-        )
-        neg_stacks.extend(_window_stacks(img, keep, cfg.geometry, cfg.channel_cfg))
+    pos_stacks, neg_stacks = forest_training_pool(images, frames, cfg, rng)
     if not pos_stacks or not neg_stacks:
         raise CascadeError("training frames yielded an empty class")
 

@@ -4,7 +4,7 @@ integral images for O(1) rectangular sums."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,14 +51,14 @@ class ChannelConfig:
 
 @dataclass
 class ChannelStack:
-    """Per-image list of channel planes plus matching integral images.
+    """Per-image list of channel planes plus their integral images.
 
-    integrals[c] has shape (h+1, w+1) with zero first row/column so that a
-    rectangle sum needs exactly four reads.
+    integrals has shape (n_channels, h+1, w+1) with a zero first row and
+    column per channel, so that a rectangle sum needs exactly four reads.
     """
 
     channels: List[np.ndarray]
-    integrals: List[np.ndarray] = field(default_factory=list)
+    integrals: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not self.channels:
@@ -67,8 +67,7 @@ class ChannelStack:
         for c in self.channels:
             if c.shape != (h, w):
                 raise ValueError("channel dimension mismatch")
-        if not self.integrals:
-            self.integrals = [integral_image(c) for c in self.channels]
+        self.integrals = integral_image(np.stack(self.channels))
 
     @property
     def height(self) -> int:
@@ -82,20 +81,13 @@ class ChannelStack:
     def n_channels(self) -> int:
         return len(self.channels)
 
-    def as_array(self) -> np.ndarray:
-        """(h, w, n_channels) view of the channel planes."""
-        return np.stack(self.channels, axis=-1)
 
-    def crop(self, x: int, y: int, w: int, h: int) -> "ChannelStack":
-        if x < 0 or y < 0 or x + w > self.width or y + h > self.height:
-            raise ValueError("crop out of bounds")
-        return ChannelStack([c[y : y + h, x : x + w].copy() for c in self.channels])
-
-
-def integral_image(plane: np.ndarray) -> np.ndarray:
-    h, w = plane.shape
-    out = np.zeros((h + 1, w + 1), dtype=np.float64)
-    np.cumsum(np.cumsum(plane, axis=0), axis=1, out=out[1:, 1:])
+def integral_image(planes: np.ndarray) -> np.ndarray:
+    """Integral image over the last two axes, (..., h+1, w+1), with a zero
+    first row and column."""
+    *lead, h, w = planes.shape
+    out = np.zeros((*lead, h + 1, w + 1), dtype=np.float64)
+    np.cumsum(np.cumsum(planes, axis=-2), axis=-1, out=out[..., 1:, 1:])
     return out
 
 
@@ -180,6 +172,46 @@ def compute_channels(img: Union[Image, np.ndarray], cfg: ChannelConfig) -> Chann
     return ChannelStack(planes)
 
 
+def pooling_regions(regions: Sequence[Tuple[int, Box]]) -> Tuple[np.ndarray, ...]:
+    """(channel, x, y, w, h) integer arrays of (channel, Box) pooling regions,
+    coordinates rounded to whole pixels and extents at least one pixel."""
+    a = np.rint(np.array([(c, r.x, r.y, r.w, r.h) for c, r in regions],
+                         dtype=np.float64).reshape(-1, 5)).astype(np.intp)
+    a[:, 3:] = np.maximum(a[:, 3:], 1)
+    return tuple(a.T)
+
+
+def rect_sums(integrals: np.ndarray, channel, x, y, w, h, ox=0, oy=0):
+    """Rectangle sums over a (C, H+1, W+1) integral array.
+
+    Rectangle (x, y, w, h) of plane `channel` is read at window origin
+    (ox, oy).  All arguments after `integrals` are integers or integer arrays
+    that broadcast together, and the result has their broadcast shape: a
+    region axis against a grid of origins scores a whole window grid, and
+    scalars give a single sum.  Raises ValueError for a rectangle outside the
+    integral array.  The sum is evaluated in place, in the order of
+    ii[y2, x2] - ii[y1, x2] - ii[y2, x1] + ii[y1, x1], which every forest
+    score depends on bit for bit.
+    """
+    n_ch, h1, w1 = integrals.shape
+    if np.broadcast(channel, x, y, w, h, ox, oy).size and (
+            np.min(channel) < 0 or np.max(channel) >= n_ch
+            or np.min(ox) + np.min(x) < 0 or np.min(oy) + np.min(y) < 0
+            or np.max(ox) + np.max(x + w) >= w1 or np.max(oy) + np.max(y + h) >= h1):
+        raise ValueError("rectangle out of bounds")
+    flat = integrals.reshape(-1)
+    dy = h * w1
+    idx = (channel * h1 + oy + y) * w1 + ox + x + dy + w  # (y2, x2)
+    s = flat[idx]
+    idx -= dy  # (y1, x2)
+    s -= flat[idx]
+    idx += dy - w  # (y2, x1)
+    s -= flat[idx]
+    idx -= dy  # (y1, x1)
+    s += flat[idx]
+    return s
+
+
 def rect_sum(stack: ChannelStack, channel: int, r: Box) -> float:
     """Sum of channel values inside an integer-aligned in-bounds rectangle."""
     x, y, w, h = r.x, r.y, r.w, r.h
@@ -188,5 +220,4 @@ def rect_sum(stack: ChannelStack, channel: int, r: Box) -> float:
         raise ValueError(f"rectangle must be integer-aligned: {r}")
     if xi < 0 or yi < 0 or xi + wi > stack.width or yi + hi > stack.height:
         raise ValueError(f"rectangle out of bounds: {r}")
-    ii = stack.integrals[channel]
-    return float(ii[yi + hi, xi + wi] - ii[yi, xi + wi] - ii[yi + hi, xi] + ii[yi, xi])
+    return float(rect_sums(stack.integrals, channel, xi, yi, wi, hi))

@@ -20,8 +20,10 @@ import numpy as np
 from .cascade import (
     CascadeConfig,
     CascadeError,
+    CascadeTrainConfig,
     IdentityRescorer,
     NetRescorer,
+    forest_training_pool,
     run_cascade,
 )
 from .channels import ChannelConfig
@@ -43,7 +45,6 @@ from .data import (
     detections_from_json,
     detections_to_json,
     extract_window,
-    jittered_negatives,
     label_proposals,
     load_annotations,
     random_boxes,
@@ -62,7 +63,6 @@ from .evaluate import (
 from .forest import (
     SlidingWindowConfig,
     default_candidate_rects,
-    detect,
     load_forest,
     save_forest,
     train_forest,
@@ -175,27 +175,6 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _forest_training_pool(images, frames, channel_cfg, geometry, neg_per_frame, neg_iou, rng):
-    from .channels import compute_channels
-
-    frames_by_id = {f.frame_id: f for f in frames}
-    pos, neg = [], []
-    for fid, img in images:
-        ann = frames_by_id.get(fid)
-        if ann is None:
-            raise DataError(f"no annotation for frame {fid}")
-        for b in ann.gt_boxes:
-            pos.append(compute_channels(extract_window(img, b, geometry), channel_cfg))
-        cand = [
-            b for b in random_boxes(neg_per_frame, (img.height, img.width), rng, geometry)
-            if max((iou(b, g) for g in ann.gt_boxes), default=0.0) < neg_iou
-        ]
-        cand += jittered_negatives(ann.gt_boxes, 3, (img.height, img.width), rng, neg_iou)
-        for b in cand:
-            neg.append(compute_channels(extract_window(img, b, geometry), channel_cfg))
-    return pos, neg
-
-
 def _cmd_train_forest(args) -> int:
     cfgfile = _load_config_file(args.config)
     channel_kind = args.channels or cfgfile.get("channels", "G_LUV")
@@ -207,16 +186,18 @@ def _cmd_train_forest(args) -> int:
         {"channels": channel_kind, "trees": n_trees},
         {"seed": args.seed}, [args.annotations],
     )
-    rng = np.random.default_rng(args.seed)
-    channel_cfg = ChannelConfig(channel_kind)
-    geometry = WindowGeometry()
-    pos, neg = _forest_training_pool(
-        images, frames, channel_cfg, geometry, args.negatives_per_frame, 0.5, rng
-    )
+    frames_by_id = {f.frame_id: f for f in frames}
+    for fid, _ in images:
+        if fid not in frames_by_id:
+            raise DataError(f"no annotation for frame {fid}")
+    cfg = CascadeTrainConfig(channel_cfg=ChannelConfig(channel_kind),
+                             forest_negatives_per_frame=args.negatives_per_frame)
+    pos, neg = forest_training_pool(images, [frames_by_id[fid] for fid, _ in images], cfg,
+                                    np.random.default_rng(args.seed))
     if not pos or not neg:
         raise DataError("training pool has an empty class")
-    rects = default_candidate_rects(channel_cfg, geometry.window)
-    model = train_forest(pos, neg, n_trees, rects, channel_cfg, geometry.window)
+    rects = default_candidate_rects(cfg.channel_cfg, cfg.geometry.window)
+    model = train_forest(pos, neg, n_trees, rects, cfg.channel_cfg, cfg.geometry.window)
     save_forest(model, args.model_out)
     print(f"trained {len(model.trees)} trees (early_stop={model.early_stop}) -> {args.model_out}")
     return EXIT_OK
@@ -454,7 +435,6 @@ def _cmd_bench(args) -> int:
 def build_parser() -> _Parser:
     p = _Parser(prog="pedcascade", description=__doc__)
     p.add_argument("--out-dir", default=None, help="output directory (default $PEDCASCADE_OUT or .)")
-    p.add_argument("--jobs", type=int, default=1, help="worker count (results independent of N)")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="generate a synthetic dataset")

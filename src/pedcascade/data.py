@@ -1,5 +1,5 @@
-"""Annotation ingestion, subset filtering, frame resampling, proposal
-labeling, window geometry, and ratio-enforced batch sampling."""
+"""Annotation ingestion, subset filtering, proposal labeling, window
+geometry, and ratio-enforced batch sampling."""
 
 from __future__ import annotations
 
@@ -209,7 +209,7 @@ def detections_from_json(d: dict) -> Dict[str, List[Detection]]:
 
 
 # ---------------------------------------------------------------------------
-# filtering / resampling
+# filtering
 
 REASONABLE_MIN_HEIGHT = 50.0
 REASONABLE_MAX_OCCLUSION = 1  # partial
@@ -231,13 +231,6 @@ def reasonable_filter(frames: Sequence[FrameAnnotation]) -> List[FrameAnnotation
             FrameAnnotation(f.frame_id, kept_boxes, list(f.ignore_boxes) + demoted, kept_meta)
         )
     return out
-
-
-def resample_frames(frames: Sequence, stride: int) -> List:
-    """Keep frames at indices congruent to 0 modulo stride."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    return [f for i, f in enumerate(frames) if i % stride == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +260,6 @@ def label_proposals(
         else:
             labels.append(LABEL_IGNORE)
     return labels
-
-
-def training_examples(
-    proposals: Sequence[Box], gt: Sequence[Box], policy: LabelingPolicy
-) -> List[Tuple[Box, str]]:
-    """Labeled proposals plus the GT boxes themselves as positives."""
-    out = [(p, lab) for p, lab in zip(proposals, label_proposals(proposals, gt, policy))]
-    out.extend((g, LABEL_POS) for g in gt)
-    return out
 
 
 def random_boxes(

@@ -11,7 +11,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .channels import ChannelConfig, ChannelStack, compute_channels
+from .channels import ChannelConfig, ChannelStack, compute_channels, pooling_regions, rect_sums
 from .geometry import Box, Detection, nms
 from .imageops import Image, bilinear_resize
 
@@ -75,53 +75,6 @@ class SlidingWindowConfig:
             raise ValueError("scale_step must be > 1")
 
 
-def _scaled_rect(rect: Box, scale: float) -> Tuple[int, int, int, int]:
-    x = int(round(rect.x * scale))
-    y = int(round(rect.y * scale))
-    w = max(1, int(round(rect.w * scale)))
-    h = max(1, int(round(rect.h * scale)))
-    return x, y, w, h
-
-
-def _node_feature(node: SplitNode, stack: ChannelStack, ox: int, oy: int, scale: float) -> float:
-    x, y, w, h = _scaled_rect(node.rect, scale)
-    ii = stack.integrals[node.channel]
-    x += ox
-    y += oy
-    if x < 0 or y < 0 or x + w > stack.width or y + h > stack.height:
-        raise ValueError("window rectangle out of bounds")
-    s = ii[y + h, x + w] - ii[y, x + w] - ii[y + h, x] + ii[y, x]
-    return float(s) / (w * h)
-
-
-def _node_decision(node: SplitNode, stack: ChannelStack, ox: int, oy: int, scale: float) -> bool:
-    f = _node_feature(node, stack, ox, oy, scale)
-    return node.polarity * (f - node.threshold) > 0
-
-
-def eval_tree(
-    t: Tree2, stack: ChannelStack, window_origin: Tuple[int, int], scale: float = 1.0
-) -> float:
-    """Evaluate one tree on the window at `window_origin` (x, y).
-
-    Rectangle coordinates are scaled by `scale` and sums are normalized by
-    rectangle area, so thresholds are comparable across scales.
-    """
-    ox, oy = window_origin
-    if _node_decision(t.root, stack, ox, oy, scale):
-        idx = 3 if _node_decision(t.right_child, stack, ox, oy, scale) else 2
-    else:
-        idx = 1 if _node_decision(t.left_child, stack, ox, oy, scale) else 0
-    return t.leaf_values[idx]
-
-
-def score_window(
-    model: ForestModel, stack: ChannelStack, window_origin: Tuple[int, int], scale: float = 1.0
-) -> float:
-    leaves = np.array([eval_tree(t, stack, window_origin, scale) for t in model.trees])
-    return float(np.dot(np.asarray(model.tree_weights), leaves)) + model.score_offset
-
-
 def default_candidate_rects(
     channel_cfg: ChannelConfig,
     model_window: Tuple[int, int] = (128, 64),
@@ -143,18 +96,43 @@ def compute_feature_matrix(
     stacks: Sequence[ChannelStack], candidate_rects: Sequence[Tuple[int, Box]]
 ) -> np.ndarray:
     """(n_windows, n_candidates) matrix of area-normalized rectangle sums."""
-    ch = np.array([c for c, _ in candidate_rects], dtype=np.intp)
-    x1 = np.array([int(r.x) for _, r in candidate_rects], dtype=np.intp)
-    y1 = np.array([int(r.y) for _, r in candidate_rects], dtype=np.intp)
-    x2 = x1 + np.array([int(r.w) for _, r in candidate_rects], dtype=np.intp)
-    y2 = y1 + np.array([int(r.h) for _, r in candidate_rects], dtype=np.intp)
-    area = ((x2 - x1) * (y2 - y1)).astype(np.float64)
-
+    ch, x, y, w, h = pooling_regions(candidate_rects)
     out = np.empty((len(stacks), len(candidate_rects)), dtype=np.float64)
     for i, stack in enumerate(stacks):
-        ii = np.stack(stack.integrals)
-        out[i] = (ii[ch, y2, x2] - ii[ch, y1, x2] - ii[ch, y2, x1] + ii[ch, y1, x1]) / area
+        out[i] = rect_sums(stack.integrals, ch, x, y, w, h) / (w * h)
     return out
+
+
+def node_decisions(model: ForestModel, integrals: np.ndarray, ox, oy) -> np.ndarray:
+    """Decisions of all 3T split nodes (root, left, right of each tree in
+    order) for windows at origins (ox, oy), in one pooling-kernel call.
+
+    ox and oy broadcast together; the result is boolean with shape
+    (3T,) + their broadcast shape.
+    """
+    nodes = [n for t in model.trees for n in (t.root, t.left_child, t.right_child)]
+    shape = (-1,) + (1,) * np.broadcast(ox, oy).ndim
+    regions = pooling_regions([(n.channel, n.rect) for n in nodes])
+    ch, x, y, w, h = (a.reshape(shape) for a in regions)
+    thr = np.array([n.threshold for n in nodes]).reshape(shape)
+    pol = np.array([n.polarity for n in nodes], dtype=np.float64).reshape(shape)
+    # in place, the node rule polarity * (sum / area - threshold) > 0
+    f = rect_sums(integrals, ch, x, y, w, h, ox, oy)
+    f /= w * h
+    f -= thr
+    f *= pol
+    return f > 0
+
+
+def forest_scores(model: ForestModel, decisions: np.ndarray) -> np.ndarray:
+    """Score offset plus each tree's weighted leaf value, added in tree order,
+    from node decisions laid out as node_decisions returns them."""
+    d = decisions.reshape((-1, 3) + decisions.shape[1:])
+    leaf_idx = _leaf_index(d[:, 0], d[:, 1], d[:, 2])
+    scores = np.full(decisions.shape[1:], model.score_offset, dtype=np.float64)
+    for tree, alpha, idx in zip(model.trees, model.tree_weights, leaf_idx):
+        scores += alpha * np.take(np.asarray(tree.leaf_values), idx)
+    return scores
 
 
 class _StumpSearch:
@@ -323,27 +301,7 @@ def score_window_grid(
     ys = np.arange(0, stack.height - win_h + 1, stride, dtype=np.intp)
     if xs.size == 0 or ys.size == 0:
         return np.zeros((0, 0)), xs, ys
-    scores = np.full((ys.size, xs.size), model.score_offset, dtype=np.float64)
-
-    def decisions(node: SplitNode) -> np.ndarray:
-        x, y, w, h = _scaled_rect(node.rect, 1.0)
-        ii = stack.integrals[node.channel]
-        yy = ys[:, None]
-        xx = xs[None, :]
-        s = (
-            ii[yy + y + h, xx + x + w]
-            - ii[yy + y, xx + x + w]
-            - ii[yy + y + h, xx + x]
-            + ii[yy + y, xx + x]
-        )
-        return node.polarity * (s / (w * h) - node.threshold) > 0
-
-    for tree, alpha in zip(model.trees, model.tree_weights):
-        d0 = decisions(tree.root)
-        d1 = decisions(tree.left_child)
-        d2 = decisions(tree.right_child)
-        idx = _leaf_index(d0, d1, d2)
-        scores += alpha * np.take(np.asarray(tree.leaf_values), idx)
+    scores = forest_scores(model, node_decisions(model, stack.integrals, xs, ys[:, None]))
     return scores, xs, ys
 
 
@@ -401,13 +359,19 @@ def filter_proposals(
 ) -> Tuple[float, List[List[Detection]]]:
     """Smallest score threshold keeping mean proposals/image <= target_avg.
 
-    Detections with score >= the returned threshold survive.
+    Detections with score >= the returned threshold survive, with one
+    exception: when more detections tie at the top score than the budget
+    floor(target_avg * n_images) allows, the threshold is that top score and
+    only the first budget-many of them survive, in frame order and then in
+    per-frame list order.  With a budget of zero nothing survives and the
+    threshold is +inf.
     """
     if target_avg <= 0:
         raise ValueError("target_avg must be > 0")
     n_images = len(dets)
     scores = np.sort(np.array([d.score for per in dets for d in per]))[::-1]
     allowed = math.floor(target_avg * n_images)
+    tied_over_budget = False
     if scores.size <= allowed:
         threshold = -math.inf
     else:
@@ -415,8 +379,19 @@ def filter_proposals(
         # cumulative count of detections at or above each unique score
         cum = np.searchsorted(-scores, -uniq, side="right")
         ok = np.nonzero(cum <= allowed)[0]
-        threshold = float(uniq[ok[-1]]) if ok.size else math.inf
+        if ok.size:
+            threshold = float(uniq[ok[-1]])
+        elif allowed:
+            threshold = float(uniq[0])
+            tied_over_budget = True
+        else:
+            threshold = math.inf
     filtered = [[d for d in per if d.score >= threshold] for per in dets]
+    if tied_over_budget:
+        left = allowed
+        for i, per in enumerate(filtered):
+            filtered[i] = per[:left]
+            left -= len(filtered[i])
     return threshold, filtered
 
 

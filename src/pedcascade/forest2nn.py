@@ -9,9 +9,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .channels import ChannelStack
+from .channels import ChannelStack, pooling_regions, rect_sums
 from .convnet import FCSpec, NetModel, NetSpec, SigmoidSpec, sigmoid
-from .forest import ForestModel, _leaf_index, _scaled_rect
+from .forest import ForestModel, forest_scores, node_decisions
 from .geometry import Box
 
 
@@ -74,24 +74,11 @@ class CompiledNet:
         scores = z2 @ self.W3 + self.b3
         return scores, z1, z2
 
-    def pooled_features(
-        self, stack: ChannelStack, origins: Sequence[Tuple[int, int]], scale: float = 1.0
-    ) -> np.ndarray:
+    def pooled_features(self, stack: ChannelStack, origins: Sequence[Tuple[int, int]]) -> np.ndarray:
         """(n_origins, F) area-normalized pooling sums for window origins."""
-        ox = np.array([o[0] for o in origins], dtype=np.intp)
-        oy = np.array([o[1] for o in origins], dtype=np.intp)
-        out = np.empty((len(origins), len(self.features)), dtype=np.float64)
-        for j, (c, rect) in enumerate(self.features):
-            x, y, w, h = _scaled_rect(rect, scale)
-            ii = stack.integrals[c]
-            s = (
-                ii[oy + y + h, ox + x + w]
-                - ii[oy + y, ox + x + w]
-                - ii[oy + y + h, ox + x]
-                + ii[oy + y, ox + x]
-            )
-            out[:, j] = s / (w * h)
-        return out
+        ch, x, y, w, h = pooling_regions(self.features)
+        o = np.asarray(origins, dtype=np.intp).reshape(-1, 2)
+        return rect_sums(stack.integrals, ch, x, y, w, h, o[:, :1], o[:, 1:]) / (w * h)
 
 
 def compile_forest(model: ForestModel) -> CompiledNet:
@@ -138,37 +125,6 @@ def compile_forest(model: ForestModel) -> CompiledNet:
     )
 
 
-def _forest_batch_eval(model: ForestModel, stack: ChannelStack, origins):
-    """Node decisions and scores via per-node tree traversal (the forest's own
-    semantics, vectorized over window origins)."""
-    ox = np.array([o[0] for o in origins], dtype=np.intp)
-    oy = np.array([o[1] for o in origins], dtype=np.intp)
-    n = len(origins)
-
-    def node_dec(node):
-        x, y, w, h = _scaled_rect(node.rect, 1.0)
-        ii = stack.integrals[node.channel]
-        s = (
-            ii[oy + y + h, ox + x + w]
-            - ii[oy + y, ox + x + w]
-            - ii[oy + y + h, ox + x]
-            + ii[oy + y, ox + x]
-        )
-        return node.polarity * (s / (w * h) - node.threshold) > 0
-
-    decisions = np.empty((n, 3 * len(model.trees)), dtype=bool)
-    scores = np.full(n, model.score_offset, dtype=np.float64)
-    for t, (tree, alpha) in enumerate(zip(model.trees, model.tree_weights)):
-        d0 = node_dec(tree.root)
-        d1 = node_dec(tree.left_child)
-        d2 = node_dec(tree.right_child)
-        decisions[:, 3 * t] = d0
-        decisions[:, 3 * t + 1] = d1
-        decisions[:, 3 * t + 2] = d2
-        scores += alpha * np.take(np.asarray(tree.leaf_values), _leaf_index(d0, d1, d2))
-    return decisions, scores
-
-
 @dataclass
 class EquivalenceReport:
     samples: int
@@ -194,20 +150,16 @@ def verify_equivalence(
     stack = ChannelStack(
         [rng.random((h, w)) for _ in range(model.channel_cfg.n_channels)]
     )
-    origins = list(
-        zip(
-            rng.integers(0, w - win_w + 1, size=samples),
-            rng.integers(0, h - win_h + 1, size=samples),
-        )
-    )
+    ox = rng.integers(0, w - win_w + 1, size=samples)
+    oy = rng.integers(0, h - win_h + 1, size=samples)
 
-    forest_dec, forest_scores = _forest_batch_eval(model, stack, origins)
-    pooled = net.pooled_features(stack, origins)
-    net_scores, z1, _ = net.forward(pooled)
+    forest_dec = node_decisions(model, stack.integrals, ox, oy)
+    forest_score = forest_scores(model, forest_dec)
+    net_scores, z1, _ = net.forward(net.pooled_features(stack, np.column_stack((ox, oy))))
     hard = math.isinf(net.sharpness)
     net_dec = z1 > 0.5 if not hard else z1.astype(bool)
-    mismatches = int(np.sum(net_dec != forest_dec))
-    max_diff = float(np.max(np.abs(net_scores - forest_scores)))
+    mismatches = int(np.sum(net_dec != forest_dec.T))
+    max_diff = float(np.max(np.abs(net_scores - forest_score)))
     report = EquivalenceReport(samples, mismatches, max_diff, hard)
     if hard and (mismatches > 0 or max_diff > 1e-9):
         raise EquivalenceError(
@@ -249,7 +201,3 @@ def to_netmodel(net: CompiledNet) -> NetModel:
     fc_layers[2].b[...] = net.b3
     return model
 
-
-def netmodel_forward_scores(model: NetModel, pooled: np.ndarray) -> np.ndarray:
-    out, _ = model.forward(np.atleast_2d(pooled))
-    return out[:, 0]

@@ -6,15 +6,18 @@ from pedcascade.cascade import (
     CascadeConfig,
     CascadeError,
     CascadeTrainConfig,
+    CompiledNetRescorer,
     IdentityRescorer,
     NetRescorer,
     TimingReport,
     run_cascade,
     train_cascade,
 )
+from pedcascade.channels import compute_channels
 from pedcascade.convnet import NetSpec, ConvSpec, PoolSpec, ReLUSpec, FCSpec, SoftmaxSpec, TrainConfig
 from pedcascade.data import BatchRatio
-from pedcascade.forest import detect, filter_proposals
+from pedcascade.forest import detect, filter_proposals, score_window_grid
+from pedcascade.forest2nn import compile_forest
 from pedcascade.geometry import nms
 
 
@@ -57,6 +60,18 @@ class TestTimingReport:
         assert out == {}
         assert report.consistent(0)
         assert report.windows_scored == 0
+
+
+class TestCompiledNetRescorer:
+    def test_matches_forest_score_on_model_window(self, tiny_forest):
+        rng = np.random.default_rng(0)
+        windows = rng.random((6,) + TINY_GEOM.window + (3,))
+        rescorer = CompiledNetRescorer(compile_forest(tiny_forest), TINY_CCFG)
+        got = rescorer(windows, np.zeros(len(windows)))
+        for win, score in zip(windows, got):
+            grid, xs, ys = score_window_grid(tiny_forest, compute_channels(win, TINY_CCFG), 4)
+            assert (xs[0], ys[0]) == (0, 0)
+            assert score == pytest.approx(grid[0, 0], abs=1e-9)
 
 
 class TestRunCascade:

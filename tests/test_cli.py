@@ -1,9 +1,14 @@
 import json
 
+import numpy as np
+
+from pedcascade.cascade import CascadeTrainConfig, forest_training_pool
+from pedcascade.channels import ChannelConfig
 from pedcascade.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_dispatch
-from pedcascade.data import annotations_to_json, detections_to_json
-from pedcascade.forest import save_forest
+from pedcascade.data import annotations_to_json, detections_to_json, load_annotations
+from pedcascade.forest import default_candidate_rects, save_forest, train_forest
 from pedcascade.geometry import Detection
+from pedcascade.imageops import read_pnm
 
 
 def run(argv):
@@ -38,6 +43,28 @@ class TestSynth:
         a = (tmp_path / "a" / "images" / "synth_00000.ppm").read_bytes()
         b = (tmp_path / "b" / "images" / "synth_00000.ppm").read_bytes()
         assert a == b
+
+
+class TestTrainForest:
+    def test_writes_the_library_forest(self, tmp_path, capsys):
+        assert run(["--out-dir", tmp_path, "synth", "--frames", "3", "--height", "120",
+                    "--width", "160", "--seed", "5"]) == EXIT_OK
+        cli_model = tmp_path / "cli_forest.json"
+        assert run(["--out-dir", tmp_path, "train-forest", "--images", tmp_path / "images",
+                    "--annotations", tmp_path / "annotations.json", "--model-out", cli_model,
+                    "--trees", "2", "--negatives-per-frame", "4", "--seed", "9"]) == EXIT_OK
+
+        paths = sorted((tmp_path / "images").glob("*.ppm"))
+        images = [(p.stem, read_pnm(p)) for p in paths]
+        by_id = {f.frame_id: f for f in load_annotations(tmp_path / "annotations.json", "json")}
+        cfg = CascadeTrainConfig(channel_cfg=ChannelConfig("G_LUV"), forest_negatives_per_frame=4)
+        pos, neg = forest_training_pool(images, [by_id[fid] for fid, _ in images], cfg,
+                                        np.random.default_rng(9))
+        rects = default_candidate_rects(cfg.channel_cfg, cfg.geometry.window)
+        lib_model = tmp_path / "lib_forest.json"
+        save_forest(train_forest(pos, neg, 2, rects, cfg.channel_cfg, cfg.geometry.window),
+                    lib_model)
+        assert cli_model.read_bytes() == lib_model.read_bytes()
 
 
 class TestEvaluate:

@@ -24,8 +24,6 @@ from pedcascade.data import (
     load_annotations,
     random_boxes,
     reasonable_filter,
-    resample_frames,
-    training_examples,
     window_source_box,
 )
 from pedcascade.geometry import Box, Detection, iou
@@ -153,12 +151,6 @@ class TestFiltering:
         frames = [FrameAnnotation("f", [Box(0, 0, 20, 50)], [], [BoxMeta(50.0, 1)])]
         assert len(reasonable_filter(frames)[0].gt_boxes) == 1
 
-    def test_resample_keeps_multiples(self):
-        assert resample_frames(list(range(10)), 3) == [0, 3, 6, 9]
-        assert resample_frames(list(range(10)), 1) == list(range(10))
-        with pytest.raises(ValueError):
-            resample_frames([], 0)
-
 
 class TestLabeling:
     def test_strict_inequality_at_threshold(self):
@@ -189,11 +181,6 @@ class TestLabeling:
 
     def test_no_gt_everything_negative(self):
         assert label_proposals([Box(0, 0, 5, 5)], [], LabelingPolicy()) == ["neg"]
-
-    def test_training_examples_appends_gt_positives(self):
-        gt = [Box(0, 0, 10, 10)]
-        out = training_examples([Box(100, 0, 10, 10)], gt, LabelingPolicy())
-        assert out == [(Box(100, 0, 10, 10), "neg"), (Box(0, 0, 10, 10), "pos")]
 
 
 class TestNegativeGeneration:

@@ -11,12 +11,10 @@ from pedcascade.forest import (
     _StumpSearch,
     compute_feature_matrix,
     default_candidate_rects,
-    eval_tree,
     filter_proposals,
     forest_from_json,
     forest_to_json,
     pyramid_ratios,
-    score_window,
     score_window_grid,
     train_forest,
 )
@@ -24,6 +22,40 @@ from pedcascade.geometry import Box, Detection
 
 
 WIN = (32, 16)
+
+
+# Per-window scalar traversal: the independent oracle for the vectorised
+# node decisions and score accumulation of score_window_grid.
+
+def _node_feature(node: SplitNode, stack: ChannelStack, ox: int, oy: int) -> float:
+    x, y, w, h = (int(round(v)) for v in (node.rect.x, node.rect.y, node.rect.w, node.rect.h))
+    ii = stack.integrals[node.channel]
+    x += ox
+    y += oy
+    if x < 0 or y < 0 or x + w > stack.width or y + h > stack.height:
+        raise ValueError("window rectangle out of bounds")
+    s = ii[y + h, x + w] - ii[y, x + w] - ii[y + h, x] + ii[y, x]
+    return float(s) / (w * h)
+
+
+def _node_decision(node: SplitNode, stack: ChannelStack, ox: int, oy: int) -> bool:
+    f = _node_feature(node, stack, ox, oy)
+    return node.polarity * (f - node.threshold) > 0
+
+
+def eval_tree(t: Tree2, stack: ChannelStack, window_origin) -> float:
+    """Leaf value of one tree on the window at `window_origin` (x, y)."""
+    ox, oy = window_origin
+    if _node_decision(t.root, stack, ox, oy):
+        idx = 3 if _node_decision(t.right_child, stack, ox, oy) else 2
+    else:
+        idx = 1 if _node_decision(t.left_child, stack, ox, oy) else 0
+    return t.leaf_values[idx]
+
+
+def score_window(model: ForestModel, stack: ChannelStack, window_origin) -> float:
+    leaves = np.array([eval_tree(t, stack, window_origin) for t in model.trees])
+    return float(np.dot(np.asarray(model.tree_weights), leaves)) + model.score_offset
 
 
 def small_cfg():
@@ -274,6 +306,12 @@ class TestFilterProposals:
                         best = s
             assert thr == pytest.approx(best)
             assert sum(len(p) for p in out) <= max(allowed, 0) or best == np.inf
+
+    def test_top_score_tie_over_budget_keeps_first_in_order(self):
+        per = [[Detection(Box(i, f, 5, 5), 1.0) for i in range(2)] for f in range(2)]
+        thr, out = filter_proposals(per, 1.0)  # 2 images -> keep 2 of 4 tied
+        assert thr == 1.0
+        assert out == [per[0], []]
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from pedcascade.forest2nn import (
     _LEAF_BIASES,
     _LEAF_WEIGHTS,
     compile_forest,
-    netmodel_forward_scores,
     soften,
     to_netmodel,
     verify_equivalence,
@@ -178,5 +177,5 @@ class TestToNetModel:
         exported = to_netmodel(soft)
         pooled = rng.random((40, len(soft.features)))
         want, _, _ = soft.forward(pooled)
-        got = netmodel_forward_scores(exported, pooled)
+        got = exported.forward(pooled)[0][:, 0]
         assert np.allclose(got, want, atol=1e-9)
