@@ -67,7 +67,7 @@ class ChannelStack:
         for c in self.channels:
             if c.shape != (h, w):
                 raise ValueError("channel dimension mismatch")
-        self.integrals = integral_image(np.stack(self.channels))
+        self.integrals = integral_image(self.channels)
 
     @property
     def height(self) -> int:
@@ -82,41 +82,74 @@ class ChannelStack:
         return len(self.channels)
 
 
-def integral_image(planes: np.ndarray) -> np.ndarray:
-    """Integral image over the last two axes, (..., h+1, w+1), with a zero
-    first row and column."""
-    *lead, h, w = planes.shape
+def integral_image(planes) -> np.ndarray:
+    """Integral images, (..., h+1, w+1) with a zero first row and column, of
+    a (..., h, w) array or of a list of equal-shape (h, w) planes.
+
+    Each plane is summed down its columns and then along its rows, in place
+    in the output, so the planes are never stacked into a copy.
+    """
+    if isinstance(planes, np.ndarray):
+        lead, planes = planes.shape[:-2], planes.reshape((-1,) + planes.shape[-2:])
+    else:
+        lead = (len(planes),)
+    h, w = planes[0].shape
     out = np.zeros((*lead, h + 1, w + 1), dtype=np.float64)
-    np.cumsum(np.cumsum(planes, axis=-2), axis=-1, out=out[..., 1:, 1:])
+    for plane, ii in zip(planes, out.reshape(-1, h + 1, w + 1)):
+        np.cumsum(plane, axis=0, out=ii[1:, 1:])
+        np.cumsum(ii[1:, 1:], axis=1, out=ii[1:, 1:])
     return out
 
 
 def rgb_to_luv(rgb: np.ndarray) -> np.ndarray:
-    """CIE L*u*v* from linear RGB (sRGB primaries, D65), rescaled to [0,1]."""
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    x = 0.412453 * r + 0.357580 * g + 0.180423 * b
-    y = 0.212671 * r + 0.715160 * g + 0.072169 * b
-    z = 0.019334 * r + 0.119193 * g + 0.950227 * b
+    """CIE L*u*v* from linear RGB (sRGB primaries, D65), rescaled to [0,1].
 
-    yr = y  # white point Y = 1 for [0,1] linear RGB
+    The (..., 3) result is a view of channel-first storage, so each of its
+    planes is contiguous.
+    """
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    x = 0.412453 * r
+    x += 0.357580 * g
+    x += 0.180423 * b
+    y = 0.212671 * r  # white point Y = 1 for [0,1] linear RGB
+    y += 0.715160 * g
+    y += 0.072169 * b
+    z = 0.019334 * r
+    z += 0.119193 * g
+    z += 0.950227 * b
+
+    out = np.zeros((3,) + y.shape, dtype=y.dtype)
+    l, u, v = out[0, ...], out[1, ...], out[2, ...]  # views, also of one pixel
     eps = 216.0 / 24389.0
     kappa = 24389.0 / 27.0
-    l = np.where(yr > eps, 116.0 * np.cbrt(yr) - 16.0, kappa * yr)
+    np.cbrt(y, out=l)
+    l *= 116.0
+    l -= 16.0
+    np.multiply(kappa, y, out=l, where=y <= eps)
 
-    denom = x + 15.0 * y + 3.0 * z
-    with np.errstate(invalid="ignore"):
-        u_prime = np.where(denom > 0, 4.0 * x / denom, 0.0)
-        v_prime = np.where(denom > 0, 9.0 * y / denom, 0.0)
+    denom = 15.0 * y
+    denom += x
+    z *= 3.0
+    denom += z
+    pos = denom > 0
+    x *= 4.0
+    np.divide(x, denom, out=u, where=pos)  # u' = v' = 0 where denom <= 0
+    y *= 9.0
+    np.divide(y, denom, out=v, where=pos)
     # D65 reference white in u'v'
     un, vn = 0.19783982, 0.46833631
-    u = 13.0 * l * (u_prime - un)
-    v = 13.0 * l * (v_prime - vn)
+    l13 = 13.0 * l
+    u -= un
+    u *= l13
+    v -= vn
+    v *= l13
 
-    out = np.empty_like(rgb)
-    out[..., 0] = l / _L_MAX
-    out[..., 1] = (u - _U_MIN) / (_U_MAX - _U_MIN)
-    out[..., 2] = (v - _V_MIN) / (_V_MAX - _V_MIN)
-    return out
+    l /= _L_MAX
+    u -= _U_MIN
+    u /= _U_MAX - _U_MIN
+    v -= _V_MIN
+    v /= _V_MAX - _V_MIN
+    return np.moveaxis(out, 0, -1)
 
 
 def gradient_channels(luminance: np.ndarray, n_bins: int):
@@ -124,10 +157,15 @@ def gradient_channels(luminance: np.ndarray, n_bins: int):
 
     Each pixel's magnitude is assigned entirely to the bin containing its
     (unsigned) orientation in [0, pi), so the orientation channels sum to
-    the magnitude channel exactly.
+    the magnitude channel exactly.  n_bins=0 returns the magnitude alone,
+    with an empty orientation list.
     """
     gx, gy = centered_gradients(luminance)
-    mag = np.sqrt(gx * gx + gy * gy)
+    mag = gx * gx
+    mag += gy * gy
+    np.sqrt(mag, out=mag)
+    if n_bins == 0:
+        return mag, []
     theta = np.mod(np.arctan2(gy, gx), np.pi)
     bins = np.minimum((theta / np.pi * n_bins).astype(np.intp), n_bins - 1)
     oriented = np.zeros(luminance.shape + (n_bins,), dtype=np.float64)
@@ -155,7 +193,7 @@ def compute_channels(img: Union[Image, np.ndarray], cfg: ChannelConfig) -> Chann
         if cfg.kind == "LUV":
             planes = [l, u, v]
         elif cfg.kind == "G_LUV":
-            mag, _ = gradient_channels(l, cfg.orientation_bins)
+            mag, _ = gradient_channels(l, 0)
             planes = [mag, l, u, v]
         elif cfg.kind == "HOG_L":
             _, oriented = gradient_channels(l, cfg.orientation_bins)

@@ -104,14 +104,26 @@ def _load_config_file(path: Optional[str]) -> dict:
     return cfg
 
 
-def _load_images(path) -> List[Tuple[str, Image]]:
+def _load_images(path, color: bool = False) -> List[Tuple[str, Image]]:
+    """(stem, image) pairs of one PNM file or of every .ppm/.pgm in a directory.
+
+    With `color`, a one-plane image is a DataError naming its file: every
+    forest channel kind needs three planes.
+    """
     p = Path(path)
     if p.is_dir():
         files = sorted(list(p.glob("*.ppm")) + list(p.glob("*.pgm")))
         if not files:
             raise DataError(f"{path}: no .ppm/.pgm images found")
-        return [(f.stem, read_pnm(f)) for f in files]
-    return [(p.stem, read_pnm(p))]
+    else:
+        files = [p]
+    images = []
+    for f in files:
+        img = read_pnm(f)
+        if color and img.planes != 3:
+            raise DataError(f"{f}: grayscale image; forest channels need a color (PPM) image")
+        images.append((f.stem, img))
+    return images
 
 
 def _write_manifest(args, command: str, config: dict, seeds: dict, inputs: Sequence) -> RunManifest:
@@ -179,7 +191,7 @@ def _cmd_train_forest(args) -> int:
     cfgfile = _load_config_file(args.config)
     channel_kind = args.channels or cfgfile.get("channels", "G_LUV")
     n_trees = args.trees or cfgfile.get("trees", 64)
-    images = _load_images(args.images)
+    images = _load_images(args.images, color=True)
     frames = load_annotations(args.annotations, args.format)
     _write_manifest(
         args, "train-forest",
@@ -283,7 +295,7 @@ def _cmd_train_svm(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    images = _load_images(args.images)
+    images = _load_images(args.images, color=True)
     model = load_forest(args.model)
     _write_manifest(args, "detect", {"threshold": args.threshold, "avg": args.proposals_avg},
                     {}, [args.model])
@@ -409,7 +421,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    images = _load_images(args.images)
+    images = _load_images(args.images, color=True)
     model = load_forest(args.model)
     net = load_net(args.net) if args.net else None
     _write_manifest(args, "bench", {}, {}, [args.model])

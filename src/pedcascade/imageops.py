@@ -123,22 +123,29 @@ def sample_box_bilinear(
     x1i = np.minimum(x0i + 1, W - 1)
     y1i = np.minimum(y0i + 1, H - 1)
 
-    tx = tx[None, :, None] if arr.ndim == 3 else tx[None, :]
-    ty = ty[:, None, None] if arr.ndim == 3 else ty[:, None]
-    a = arr[np.ix_(y0i, x0i)]
-    b = arr[np.ix_(y0i, x1i)]
-    c = arr[np.ix_(y1i, x0i)]
-    d = arr[np.ix_(y1i, x1i)]
-    top = a * (1.0 - tx) + b * tx
-    bot = c * (1.0 - tx) + d * tx
-    return top * (1.0 - ty) + bot * ty
+    # Horizontal pass over the contiguous band of source rows the output
+    # reads, then a vertical blend of the band's rows.  Every output element
+    # sees the same operations as the four-corner formula, so it is bit-exact.
+    # (The initial values only keep an empty output empty.)
+    lo = y0i.min(initial=H - 1)
+    band = arr[lo:y1i.max(initial=0) + 1]
+    tx = tx.reshape((-1,) + (1,) * (arr.ndim - 2))
+    ty = ty.reshape((-1,) + (1,) * (arr.ndim - 1))
+    rows = band.take(x0i, axis=1)
+    rows *= 1.0 - tx
+    right = band.take(x1i, axis=1)
+    right *= tx
+    rows += right
+    out = rows.take(y0i - lo, axis=0)
+    out *= 1.0 - ty
+    bot = rows.take(y1i - lo, axis=0)
+    bot *= ty
+    out += bot
+    return out
 
 
-def triangle_blur(arr: np.ndarray, radius: int = 1) -> np.ndarray:
+def triangle_blur(arr: np.ndarray) -> np.ndarray:
     """Separable [1,2,1]/4 triangle filter (radius 1) with replicated borders."""
-    if radius != 1:
-        raise ValueError("only radius-1 triangle blur is supported")
-
     def blur_axis(a: np.ndarray, axis: int) -> np.ndarray:
         lo = np.take(a, [0], axis=axis)
         hi = np.take(a, [a.shape[axis] - 1], axis=axis)

@@ -9,12 +9,15 @@ from pedcascade.cascade import (
     CompiledNetRescorer,
     IdentityRescorer,
     NetRescorer,
+    SvmRescorer,
     TimingReport,
     run_cascade,
     train_cascade,
 )
 from pedcascade.channels import compute_channels
-from pedcascade.convnet import NetSpec, ConvSpec, PoolSpec, ReLUSpec, FCSpec, SoftmaxSpec, TrainConfig
+from pedcascade.convnet import (
+    NetModel, NetSpec, ConvSpec, PoolSpec, ReLUSpec, FCSpec, SoftmaxSpec, TrainConfig,
+)
 from pedcascade.data import BatchRatio
 from pedcascade.forest import detect, filter_proposals, score_window_grid
 from pedcascade.forest2nn import compile_forest
@@ -72,6 +75,25 @@ class TestCompiledNetRescorer:
             grid, xs, ys = score_window_grid(tiny_forest, compute_channels(win, TINY_CCFG), 4)
             assert (xs[0], ys[0]) == (0, 0)
             assert score == pytest.approx(grid[0, 0], abs=1e-9)
+
+
+class TestSvmRescorer:
+    def test_linear_head_on_centred_features(self):
+        spec = NetSpec((3, 8, 6), [ConvSpec(2, 3, pad=1), PoolSpec("max"), ReLUSpec(),
+                                   FCSpec(5), ReLUSpec(), FCSpec(2), SoftmaxSpec()])
+        model = NetModel(spec, seed=4, init_sigma=0.5, first_layer_sigma=0.5)
+        rng = np.random.default_rng(1)
+        windows = rng.random((4, 8, 6, 3))
+        w, b = rng.normal(size=5), 0.25
+        scores = np.zeros(len(windows))
+
+        mean = 0.4
+        got = SvmRescorer(model, w, b, "fc1", input_mean=mean)(windows, scores)
+        phi = model.features(windows.transpose(0, 3, 1, 2) - mean, "fc1")
+        assert np.array_equal(got, phi @ w + b)
+
+        uncentred = SvmRescorer(model, w, b, "fc1")(windows, scores)
+        assert not np.allclose(got, uncentred)
 
 
 class TestRunCascade:

@@ -43,6 +43,15 @@ class TestIntegralImage:
         assert np.all(ii[:, 0] == 0)
         assert ii[-1, -1] == 12
 
+    def test_plane_list_matches_stacked_cumsum(self):
+        rng = np.random.default_rng(4)
+        planes = rng.random((2, 3, 7, 5))
+        want = np.zeros((2, 3, 8, 6))
+        want[..., 1:, 1:] = np.cumsum(np.cumsum(planes, axis=-2), axis=-1)
+        assert np.array_equal(integral_image(planes), want)
+        assert np.array_equal(integral_image(list(planes[0])), want[0])
+        assert np.array_equal(integral_image(planes[1, 2]), want[1, 2])
+
     @given(
         hnp.arrays(
             np.float64,
@@ -202,6 +211,20 @@ class TestComputeChannels:
         stack = compute_channels(rand_rgb(rng), ChannelConfig("HOG_LUV", pre_blur=True))
         total = sum(stack.channels[1:7])
         assert np.max(np.abs(total - stack.channels[0])) <= 1e-9
+
+    def test_g_luv_planes_are_bit_equal_to_their_parts(self):
+        rng = np.random.default_rng(9)
+        img = rand_rgb(rng)
+        luv = rgb_to_luv(img)
+        l, u, v = (np.ascontiguousarray(luv[..., k]) for k in range(3))
+        mag = gradient_channels(l, 6)[0]
+        stack = compute_channels(img, ChannelConfig("G_LUV"))
+        assert len(stack.channels) == 4
+        for got, want in zip(stack.channels, [mag, l, u, v]):
+            assert np.array_equal(got, want)
+        assert np.array_equal(stack.integrals, integral_image(np.stack([mag, l, u, v])))
+        mag_only, none = gradient_channels(l, 0)
+        assert np.array_equal(mag_only, mag) and none == []
 
     def test_rejects_gray_input_for_color_kinds(self):
         with pytest.raises(ValueError):

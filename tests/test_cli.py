@@ -147,6 +147,21 @@ class TestDetect:
         assert run(["--out-dir", tmp_path, "detect", "--images", images_dir,
                     "--model", corrupt, "--dets-out", dets_out]) == EXIT_DATA
 
+    def test_grayscale_image_is_data_error(self, tmp_path, tiny_world, tiny_forest, capsys):
+        images_dir = tmp_path / "imgs"
+        images_dir.mkdir()
+        from pedcascade.imageops import Image, write_pnm
+
+        fid, img = tiny_world[0][0]
+        write_pnm(images_dir / f"{fid}.pgm", Image(img.data.mean(axis=2)))
+        model_path = tmp_path / "forest.bin"
+        save_forest(tiny_forest, model_path)
+        code = run(["--out-dir", tmp_path, "detect", "--images", images_dir,
+                    "--model", model_path, "--dets-out", tmp_path / "dets.json"])
+        assert code == 2 == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{fid}.pgm" in err
+
 
 class TestSweep:
     def test_bad_config_version(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pedcascade.imageops import (
     Image,
@@ -27,6 +29,42 @@ def naive_sample(arr, x0, y0, w, h, out_h, out_w):
             bot = arr[y1, xf] * (1 - tx) + arr[y1, x1] * tx
             out[i, j] = top * (1 - ty) + bot * ty
     return out
+
+
+def gather_sample(arr, x0, y0, w, h, out_h, out_w):
+    """Four-corner reference for the clamped bilinear sampler: one 2-D gather
+    per corner, blended horizontally and then vertically.  The library's
+    separable kernel must equal it bit for bit."""
+    src_x = x0 + (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    src_y = y0 + (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    H, W = arr.shape[:2]
+    src_x = np.clip(src_x, 0.0, W - 1.0)
+    src_y = np.clip(src_y, 0.0, H - 1.0)
+    fx = np.floor(src_x)
+    fy = np.floor(src_y)
+    tx = src_x - fx
+    ty = src_y - fy
+    x0i = fx.astype(np.intp)
+    y0i = fy.astype(np.intp)
+    x1i = np.minimum(x0i + 1, W - 1)
+    y1i = np.minimum(y0i + 1, H - 1)
+
+    tx = tx[None, :, None] if arr.ndim == 3 else tx[None, :]
+    ty = ty[:, None, None] if arr.ndim == 3 else ty[:, None]
+    a = arr[np.ix_(y0i, x0i)]
+    b = arr[np.ix_(y0i, x1i)]
+    c = arr[np.ix_(y1i, x0i)]
+    d = arr[np.ix_(y1i, x1i)]
+    top = a * (1.0 - tx) + b * tx
+    bot = c * (1.0 - tx) + d * tx
+    return top * (1.0 - ty) + bot * ty
+
+
+def assert_matches_gather(arr, x0, y0, w, h, out_h, out_w):
+    got = sample_box_bilinear(arr, x0, y0, w, h, out_h, out_w)
+    want = gather_sample(arr, x0, y0, w, h, out_h, out_w)
+    assert got.shape == want.shape == (out_h, out_w) + arr.shape[2:]
+    assert np.array_equal(got, want)
 
 
 class TestImage:
@@ -103,6 +141,36 @@ class TestBilinear:
             oh, ow = int(rng.integers(2, 9)), int(rng.integers(2, 9))
             got = sample_box_bilinear(arr, x0, y0, w, h, oh, ow)
             assert np.allclose(got, naive_sample(arr, x0, y0, w, h, oh, ow), atol=1e-12)
+
+    @given(
+        planes=st.sampled_from([(), (3,)]),
+        size=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+        origin=st.tuples(st.floats(-40, 40), st.floats(-40, 40)),
+        extent=st.tuples(st.floats(0.25, 80), st.floats(0.25, 80)),
+        out=st.tuples(st.integers(1, 48), st.integers(1, 48)),
+        seed=st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_gather_oracle(self, planes, size, origin, extent, out, seed):
+        arr = np.random.default_rng(seed).random(size + planes)
+        assert_matches_gather(arr, *origin, *extent, *out)
+
+    @pytest.mark.parametrize("planes", [(), (3,)])
+    def test_bit_equal_to_gather_oracle_on_edge_cases(self, planes):
+        arr = np.random.default_rng(6).random((15, 21) + planes)
+        cases = [
+            (0.0, 0.0, 21.0, 15.0, 29, 40),     # pyramid upscale
+            (0.0, 0.0, 21.0, 15.0, 7, 10),      # pyramid downscale
+            (0.0, 0.0, 21.0, 15.0, 15, 21),     # identity
+            (3.3, 2.7, 6.1, 9.4, 1, 1),         # one output pixel
+            (-2.0, -3.0, 30.0, 25.0, 1, 17),    # one row, box covers the image
+            (-50.0, -60.0, 10.0, 12.0, 8, 4),   # wholly above-left of the image
+            (40.0, 30.0, 5.0, 9.0, 6, 3),       # wholly below-right of the image
+            (-4.5, 10.5, 12.0, 16.0, 32, 16),   # straddles two borders
+            (5.0, 4.0, 0.0, 0.0, 3, 3),         # zero-extent box
+        ]
+        for case in cases:
+            assert_matches_gather(arr, *case)
 
     def test_constant_image_stays_constant(self):
         arr = np.full((10, 10), 0.37)
