@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the outputs a bit-exact change must leave alone.
+
+On one benchmark seed this trains the benchmark's cascade and prints one
+digest per line for:
+
+  model             train_cascade model bytes (forest JSON, net weights,
+                    input mean)
+  detect            detect-default detections on the test frames, before
+                    the proposal filter
+  detect.filtered   the same detections after filter_proposals to the
+                    benchmark's budget of 3.0 per image
+  run_cascade       the test-set run_cascade output at the acceptance config
+  verify            the verify_equivalence report of the compiled forest
+
+Run it at two commits and compare the lines; equal digests mean equal
+bytes.  It reuses the benchmark's workload definitions read-only.
+
+Usage: python3 scripts/output_digest.py --seed 1
+"""
+
+import os
+import sys
+
+# One BLAS thread, as in the benchmark: the net's training bytes may depend
+# on the thread count.  Must precede the numpy import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+sys.dont_write_bytecode = True  # leave no cache files under benchmark/
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
+
+from pedcascade import cascade, forest, forest2nn  # noqa: E402
+
+import workloads  # noqa: E402
+
+
+def digests(seed: int):
+    """(name, hex digest) pairs of the five outputs on one seed."""
+    scale = workloads.Scale()
+    (train_pairs, train_frames), (test_pairs, _) = workloads.synth_inputs(scale, seed)
+    casc = cascade.train_cascade(train_pairs, train_frames, workloads.train_config(scale))
+    model = casc.proposal_model
+    dets = [forest.detect(img, model, scale.detect_sliding) for _, img in test_pairs]
+    _, kept = forest.filter_proposals(dets, workloads.PROPOSAL_BUDGET)
+    ids = [fid for fid, _ in test_pairs]
+    run, _ = cascade.run_cascade(test_pairs, workloads.cascade_config(scale, casc))
+    report = forest2nn.verify_equivalence(model, forest2nn.compile_forest(model),
+                                          samples=workloads.EQUIVALENCE_SAMPLES)
+    outputs = [
+        ("model", workloads.model_bytes(casc)),
+        ("detect", workloads.dets_bytes(dict(zip(ids, dets)))),
+        ("detect.filtered", workloads.dets_bytes(dict(zip(ids, kept)))),
+        ("run_cascade", workloads.dets_bytes(run)),
+        ("verify", repr(report).encode()),
+    ]
+    return [(name, hashlib.sha256(b).hexdigest()) for name, b in outputs]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, required=True)
+    args = ap.parse_args()
+    for name, digest in digests(args.seed):
+        print(f"{name} {digest}")
+
+
+if __name__ == "__main__":
+    main()

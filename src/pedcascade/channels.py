@@ -220,33 +220,31 @@ def pooling_regions(regions: Sequence[Tuple[int, Box]]) -> Tuple[np.ndarray, ...
 
 
 def rect_sums(integrals: np.ndarray, channel, x, y, w, h, ox=0, oy=0):
-    """Rectangle sums over a (C, H+1, W+1) integral array.
+    """Rectangle sums over an integral array whose leading axes are
+    (C, H+1, W+1).
 
     Rectangle (x, y, w, h) of plane `channel` is read at window origin
     (ox, oy).  All arguments after `integrals` are integers or integer arrays
-    that broadcast together, and the result has their broadcast shape: a
-    region axis against a grid of origins scores a whole window grid, and
-    scalars give a single sum.  Raises ValueError for a rectangle outside the
-    integral array.  The sum is evaluated in place, in the order of
+    that broadcast together: a region axis against a grid of origins scores a
+    whole window grid, and scalars give a single sum.  Trailing axes of
+    `integrals` are carried through to the end of the result, so a strided
+    window-grid view (C, H', W', ny, nx) turns each corner read into one
+    block copy per rectangle.  Raises ValueError for a rectangle outside the
+    leading axes.  The sum is evaluated in place, in the order of
     ii[y2, x2] - ii[y1, x2] - ii[y2, x1] + ii[y1, x1], which every forest
     score depends on bit for bit.
     """
-    n_ch, h1, w1 = integrals.shape
+    n_ch, h1, w1 = integrals.shape[:3]
     if np.broadcast(channel, x, y, w, h, ox, oy).size and (
             np.min(channel) < 0 or np.max(channel) >= n_ch
             or np.min(ox) + np.min(x) < 0 or np.min(oy) + np.min(y) < 0
             or np.max(ox) + np.max(x + w) >= w1 or np.max(oy) + np.max(y + h) >= h1):
         raise ValueError("rectangle out of bounds")
-    flat = integrals.reshape(-1)
-    dy = h * w1
-    idx = (channel * h1 + oy + y) * w1 + ox + x + dy + w  # (y2, x2)
-    s = flat[idx]
-    idx -= dy  # (y1, x2)
-    s -= flat[idx]
-    idx += dy - w  # (y2, x1)
-    s -= flat[idx]
-    idx -= dy  # (y1, x1)
-    s += flat[idx]
+    y1, x1 = oy + y, ox + x
+    y2, x2 = y1 + h, x1 + w
+    s = integrals[channel, y2, x2] - integrals[channel, y1, x2]  # never a view
+    s -= integrals[channel, y2, x1]
+    s += integrals[channel, y1, x1]
     return s
 
 

@@ -126,6 +126,14 @@ def _load_images(path, color: bool = False) -> List[Tuple[str, Image]]:
     return images
 
 
+def _load_forest(path):
+    """The forest model in `path`; a malformed file is a DataError naming it."""
+    try:
+        return load_forest(path)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed forest file ({type(exc).__name__}: {exc})") from exc
+
+
 def _write_manifest(args, command: str, config: dict, seeds: dict, inputs: Sequence) -> RunManifest:
     man = RunManifest(command=command, config=config, seeds=seeds)
     man.record_inputs([p for p in inputs if p and Path(p).exists()])
@@ -216,7 +224,7 @@ def _cmd_train_forest(args) -> int:
 
 
 def _cmd_compile_forest(args) -> int:
-    model = load_forest(args.model)
+    model = _load_forest(args.model)
     _write_manifest(args, "compile-forest", {"sharpness": args.sharpness},
                     {"seed": args.seed}, [args.model])
     net = compile_forest(model)
@@ -296,7 +304,7 @@ def _cmd_train_svm(args) -> int:
 
 def _cmd_detect(args) -> int:
     images = _load_images(args.images, color=True)
-    model = load_forest(args.model)
+    model = _load_forest(args.model)
     _write_manifest(args, "detect", {"threshold": args.threshold, "avg": args.proposals_avg},
                     {}, [args.model])
     sliding = SlidingWindowConfig(score_threshold=args.threshold)
@@ -422,7 +430,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bench(args) -> int:
     images = _load_images(args.images, color=True)
-    model = load_forest(args.model)
+    model = _load_forest(args.model)
     net = load_net(args.net) if args.net else None
     _write_manifest(args, "bench", {}, {}, [args.model])
     cfg = CascadeConfig(

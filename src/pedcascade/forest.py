@@ -10,6 +10,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channels import ChannelConfig, ChannelStack, compute_channels, pooling_regions, rect_sums
 from .geometry import Box, Detection, nms
@@ -43,6 +44,10 @@ class Tree2:
     left_child: SplitNode
     right_child: SplitNode
     leaf_values: Tuple[float, float, float, float]
+
+    def __post_init__(self):
+        if len(self.leaf_values) != 4:
+            raise ValueError(f"a depth-2 tree needs 4 leaf values, got {len(self.leaf_values)}")
 
 
 @dataclass
@@ -103,22 +108,23 @@ def compute_feature_matrix(
     return out
 
 
-def node_decisions(model: ForestModel, integrals: np.ndarray, ox, oy) -> np.ndarray:
+def node_decisions(model: ForestModel, integrals: np.ndarray, ox=0, oy=0) -> np.ndarray:
     """Decisions of all 3T split nodes (root, left, right of each tree in
     order) for windows at origins (ox, oy), in one pooling-kernel call.
 
-    ox and oy broadcast together; the result is boolean with shape
-    (3T,) + their broadcast shape.
+    ox and oy broadcast together, and trailing axes of `integrals` (a
+    window-grid view) follow theirs; the result is boolean with shape
+    (3T,) + their broadcast shape + those trailing axes.
     """
     nodes = [n for t in model.trees for n in (t.root, t.left_child, t.right_child)]
-    shape = (-1,) + (1,) * np.broadcast(ox, oy).ndim
     regions = pooling_regions([(n.channel, n.rect) for n in nodes])
-    ch, x, y, w, h = (a.reshape(shape) for a in regions)
-    thr = np.array([n.threshold for n in nodes]).reshape(shape)
-    pol = np.array([n.polarity for n in nodes], dtype=np.float64).reshape(shape)
+    origin_axes = (1,) * np.broadcast(ox, oy).ndim
+    f = rect_sums(integrals, *(a.reshape((-1,) + origin_axes) for a in regions), ox, oy)
+    shape = (-1,) + (1,) * (f.ndim - 1)
+    area, thr, pol = (np.array(v, dtype=np.float64).reshape(shape) for v in (
+        regions[3] * regions[4], [n.threshold for n in nodes], [n.polarity for n in nodes]))
     # in place, the node rule polarity * (sum / area - threshold) > 0
-    f = rect_sums(integrals, ch, x, y, w, h, ox, oy)
-    f /= w * h
+    f /= area
     f -= thr
     f *= pol
     return f > 0
@@ -301,7 +307,10 @@ def score_window_grid(
     ys = np.arange(0, stack.height - win_h + 1, stride, dtype=np.intp)
     if xs.size == 0 or ys.size == 0:
         return np.zeros((0, 0)), xs, ys
-    scores = forest_scores(model, node_decisions(model, stack.integrals, xs, ys[:, None]))
+    # grid[c, y, x, i, j] = integrals[c, y + i*stride, x + j*stride]
+    span = ((ys.size - 1) * stride + 1, (xs.size - 1) * stride + 1)
+    grid = sliding_window_view(stack.integrals, span, axis=(1, 2))[..., ::stride, ::stride]
+    scores = forest_scores(model, node_decisions(model, grid))
     return scores, xs, ys
 
 
@@ -452,7 +461,7 @@ def forest_from_json(d: dict) -> ForestModel:
         )
         for t in d["trees"]
     ]
-    return ForestModel(
+    model = ForestModel(
         trees=trees,
         tree_weights=list(d["tree_weights"]),
         channel_cfg=cfg,
@@ -461,6 +470,15 @@ def forest_from_json(d: dict) -> ForestModel:
         early_stop=d.get("early_stop", False),
         training_log=d.get("training_log", []),
     )
+    # every split must pool inside the model window, as scoring reads it
+    win_h, win_w = model.model_window
+    ch, x, y, w, h = pooling_regions(
+        [(n.channel, n.rect) for t in trees for n in (t.root, t.left_child, t.right_child)])
+    if (ch.min() < 0 or ch.max() >= cfg.n_channels or x.min() < 0 or y.min() < 0
+            or (x + w).max() > win_w or (y + h).max() > win_h):
+        raise ValueError(f"a split rectangle lies outside the {win_h}x{win_w} model window "
+                         f"or its {cfg.n_channels} channels")
+    return model
 
 
 def save_forest(model: ForestModel, path) -> None:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pedcascade.channels import (
     CHANNEL_COUNTS,
@@ -112,6 +113,42 @@ class TestRectSum:
             rect_sums(stack.integrals, 0, 0, 0, 2, 2, ox=-1)
         with pytest.raises(ValueError):
             rect_sums(stack.integrals, 0, 0, 0, 2, 2, ox=np.array([0, 4]))
+
+    def test_corner_order_is_bit_exact(self):
+        # forest scores depend on this exact order of the four corner reads
+        rng = np.random.default_rng(4)
+        ii = rng.random((2, 9, 8)) * 10.0 ** rng.uniform(-3, 6, (2, 9, 8))
+        ch, x, y = rng.integers(0, 2, 500), rng.integers(0, 4, 500), rng.integers(0, 4, 500)
+        w, h = rng.integers(1, 4, 500), rng.integers(1, 5, 500)
+        want = [ii[c, b + e, a + d] - ii[c, b, a + d] - ii[c, b + e, a] + ii[c, b, a]
+                for c, a, b, d, e in zip(ch, x, y, w, h)]
+        assert np.array_equal(rect_sums(ii, ch, x, y, w, h), want)
+
+    @pytest.mark.parametrize("stride", [1, 3, 4])
+    def test_grid_view_is_bit_equal_to_broadcast_origins(self, stride):
+        rng = np.random.default_rng(3)
+        stack = ChannelStack([rng.random((23, 19)) for _ in range(3)])
+        ch, x, y, w, h = (np.array(v) for v in ([0, 2, 1, 2], [1, 0, 3, 0], [2, 3, 0, 0],
+                                                [4, 5, 1, 7], [3, 6, 2, 9]))
+        xs, ys = np.arange(0, 19 - 7 + 1, stride), np.arange(0, 23 - 9 + 1, stride)
+        span = ((ys.size - 1) * stride + 1, (xs.size - 1) * stride + 1)
+        grid = sliding_window_view(stack.integrals, span, axis=(1, 2))[..., ::stride, ::stride]
+        assert grid.shape[3:] == (ys.size, xs.size)
+        got = rect_sums(grid, ch, x, y, w, h)
+        want = rect_sums(stack.integrals, ch[:, None, None], x[:, None, None],
+                         y[:, None, None], w[:, None, None], h[:, None, None],
+                         xs, ys[:, None])
+        assert got.shape == want.shape == (4, ys.size, xs.size)
+        assert np.array_equal(got, want)
+        # scalar regions read one rectangle over the whole grid
+        assert np.array_equal(rect_sums(grid, 2, 0, 3, 5, 6), want[1])
+        # the view's leading axes bound the rectangle: one pixel more is out
+        with pytest.raises(ValueError):
+            rect_sums(grid, 1, 0, 0, 19 - (xs.size - 1) * stride + 1, 1)
+        with pytest.raises(ValueError):
+            rect_sums(grid, 0, 0, 23 - (ys.size - 1) * stride, 1, 1)
+        with pytest.raises(ValueError):
+            rect_sums(grid, 3, 0, 0, 1, 1)
 
     def test_full_plane_equals_total(self):
         rng = np.random.default_rng(1)

@@ -1,12 +1,13 @@
 import json
 
 import numpy as np
+import pytest
 
 from pedcascade.cascade import CascadeTrainConfig, forest_training_pool
 from pedcascade.channels import ChannelConfig
 from pedcascade.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_dispatch
 from pedcascade.data import annotations_to_json, detections_to_json, load_annotations
-from pedcascade.forest import default_candidate_rects, save_forest, train_forest
+from pedcascade.forest import default_candidate_rects, forest_to_json, save_forest, train_forest
 from pedcascade.geometry import Detection
 from pedcascade.imageops import read_pnm
 
@@ -161,6 +162,64 @@ class TestDetect:
         assert code == 2 == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and f"{fid}.pgm" in err
+
+
+def _malform(d, case):
+    """The forest JSON `d` broken in one of six ways."""
+    if case == "missing_trees":
+        del d["trees"]
+    elif case == "unsupported_version":
+        d["version"] = 99
+    elif case == "empty_tree_list":
+        d["trees"], d["tree_weights"] = [], []
+    elif case == "tree_weight_missing":
+        d["tree_weights"] = d["tree_weights"][:-1]
+    elif case == "three_leaves":
+        d["trees"][-1]["leaves"] = d["trees"][-1]["leaves"][:3]
+    elif case == "rect_outside_window":
+        h, w = d["model_window"]
+        d["trees"][0]["left"]["rect"] = [w - 4, h - 4, 8, 8]
+    return d
+
+
+class TestMalformedForest:
+    """A forest file the library cannot load is a data error naming the file,
+    exit 2, for every subcommand that reads one."""
+
+    @pytest.fixture
+    def images_dir(self, tmp_path, tiny_world):
+        from pedcascade.imageops import write_pnm
+
+        d = tmp_path / "imgs"
+        d.mkdir()
+        fid, img = tiny_world[0][0]
+        write_pnm(d / f"{fid}.ppm", img)
+        return d
+
+    @pytest.mark.parametrize("case", ["missing_trees", "unsupported_version",
+                                      "empty_tree_list", "tree_weight_missing",
+                                      "three_leaves", "rect_outside_window"])
+    def test_detect_exits_2(self, tmp_path, images_dir, tiny_forest, capsys, case):
+        model_path = tmp_path / "forest.json"
+        model_path.write_text(json.dumps(_malform(forest_to_json(tiny_forest), case)))
+        code = run(["--out-dir", tmp_path, "detect", "--images", images_dir,
+                    "--model", model_path, "--dets-out", tmp_path / "dets.json"])
+        assert code == 2 == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(model_path) in err
+        assert not (tmp_path / "dets.json").exists()
+
+    @pytest.mark.parametrize("command", ["bench", "compile-forest"])
+    def test_bench_and_compile_exit_2(self, tmp_path, images_dir, tiny_forest, capsys,
+                                      command):
+        model_path = tmp_path / "forest.json"
+        model_path.write_text(json.dumps(_malform(forest_to_json(tiny_forest),
+                                                  "rect_outside_window")))
+        args = ["--model", model_path]
+        if command == "bench":
+            args += ["--images", images_dir]
+        assert run(["--out-dir", tmp_path, command] + args) == 2 == EXIT_DATA
+        assert str(model_path) in capsys.readouterr().err
 
 
 class TestSweep:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pedcascade.channels import ChannelConfig, ChannelStack
 from pedcascade.forest import (
@@ -13,7 +15,9 @@ from pedcascade.forest import (
     default_candidate_rects,
     filter_proposals,
     forest_from_json,
+    forest_scores,
     forest_to_json,
+    node_decisions,
     pyramid_ratios,
     score_window_grid,
     train_forest,
@@ -56,6 +60,20 @@ def eval_tree(t: Tree2, stack: ChannelStack, window_origin) -> float:
 def score_window(model: ForestModel, stack: ChannelStack, window_origin) -> float:
     leaves = np.array([eval_tree(t, stack, window_origin) for t in model.trees])
     return float(np.dot(np.asarray(model.tree_weights), leaves)) + model.score_offset
+
+
+def random_forest(rng, n_trees, win, n_channels):
+    """Trees of random in-window rectangles, thresholds and leaves, with a
+    nonzero score offset."""
+    def node():
+        h, w = (int(rng.integers(1, n + 1)) for n in win)
+        rect = Box(int(rng.integers(0, win[1] - w + 1)), int(rng.integers(0, win[0] - h + 1)), w, h)
+        return SplitNode(int(rng.integers(0, n_channels)), rect, float(rng.random()),
+                         int(rng.choice([-1, 1])))
+
+    trees = [Tree2(node(), node(), node(), tuple(rng.standard_normal(4))) for _ in range(n_trees)]
+    return ForestModel(trees, list(rng.random(n_trees)), ChannelConfig("RGB"), win,
+                       score_offset=float(rng.standard_normal()))
 
 
 def small_cfg():
@@ -240,6 +258,25 @@ class TestScoreWindowGrid:
                     score_window(model, stack, (int(x), int(y))), abs=1e-9
                 )
 
+    @given(
+        win=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        stride=st.integers(1, 9),
+        extra=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+        n_trees=st.integers(1, 5),
+        seed=st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_grid_is_bit_equal_to_listed_origins(self, win, stride, extra, n_trees, seed):
+        rng = np.random.default_rng(seed)
+        model = random_forest(rng, n_trees, win, n_channels=3)
+        stack = random_stack(rng, win[0] + extra[0], win[1] + extra[1])
+        scores, xs, ys = score_window_grid(model, stack, stride)
+        assert xs.tolist() == list(range(0, extra[1] + 1, stride))
+        assert ys.tolist() == list(range(0, extra[0] + 1, stride))
+        ox, oy = (o.ravel() for o in np.meshgrid(xs, ys))
+        want = forest_scores(model, node_decisions(model, stack.integrals, ox, oy))
+        assert np.array_equal(scores, want.reshape(ys.size, xs.size))
+
     def test_too_small_stack_yields_empty_grid(self):
         rng = np.random.default_rng(11)
         pos, neg = make_pool(rng, 10, 10)
@@ -335,3 +372,46 @@ class TestSerialization:
         d["version"] = 99
         with pytest.raises(ValueError):
             forest_from_json(d)
+
+    @pytest.mark.parametrize("node, rect", [
+        ("root", [-1, 0, 4, 4]),  # left of the window
+        ("left", [0, 29, 4, 4]),  # below it (WIN is 32 high)
+        ("right", [13, 0, 4, 4]),  # right of it (WIN is 16 wide)
+        ("root", [0, 0, 16, 33]),  # taller than it
+    ])
+    def test_rejects_rectangle_outside_model_window(self, node, rect):
+        d = forest_to_json(random_forest(np.random.default_rng(17), 2, WIN, n_channels=3))
+        forest_from_json(d)
+        d["trees"][1][node]["rect"] = rect
+        with pytest.raises(ValueError, match="outside"):
+            forest_from_json(d)
+
+    def test_rejects_channel_outside_stack(self):
+        d = forest_to_json(random_forest(np.random.default_rng(18), 2, WIN, n_channels=3))
+        d["trees"][0]["right"]["channel"] = 3  # RGB has channels 0-2
+        with pytest.raises(ValueError, match="outside"):
+            forest_from_json(d)
+
+    @pytest.mark.parametrize("trees, weights, match", [
+        (slice(0, 0), slice(0, 0), "at least one"),  # no trees
+        (slice(None), slice(0, 1), "equally many"),  # a weight short
+    ])
+    def test_rejects_tree_and_weight_counts(self, trees, weights, match):
+        d = forest_to_json(random_forest(np.random.default_rng(20), 2, WIN, n_channels=3))
+        d["trees"], d["tree_weights"] = d["trees"][trees], d["tree_weights"][weights]
+        with pytest.raises(ValueError, match=match):
+            forest_from_json(d)
+
+    @pytest.mark.parametrize("n_leaves", [3, 5])
+    def test_rejects_leaf_count(self, n_leaves):
+        d = forest_to_json(random_forest(np.random.default_rng(21), 2, WIN, n_channels=3))
+        d["trees"][1]["leaves"] = [0.5] * n_leaves
+        with pytest.raises(ValueError, match="4 leaf values"):
+            forest_from_json(d)
+
+    def test_rectangle_filling_the_window_loads(self):
+        d = forest_to_json(random_forest(np.random.default_rng(19), 1, WIN, n_channels=3))
+        d["trees"][0]["root"]["rect"] = [0, 0, WIN[1], WIN[0]]
+        model = forest_from_json(d)
+        scores, _, _ = score_window_grid(model, random_stack(np.random.default_rng(0)), 1)
+        assert scores.shape == (1, 1)
