@@ -8,8 +8,7 @@ Usage: python3 scripts/run_net_sweep.py [--seeds 2]
 
 import argparse
 
-from pedcascade.cli import _sweep_run_factory
-from pedcascade.sweep import grid_sweep, sweep_to_csv
+from pedcascade.sweep import grid_sweep, sweep_to_csv, task_runner
 
 
 def main():
@@ -20,7 +19,7 @@ def main():
     ap.add_argument("--out", default="sweep.csv")
     args = ap.parse_args()
 
-    run = _sweep_run_factory(
+    run = task_runner(
         {"task": "net-synth", "frames": args.frames, "epochs": args.epochs,
          "window": [32, 16]}
     )

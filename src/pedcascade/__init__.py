@@ -10,7 +10,9 @@ from .cascade import (
     NetRescorer,
     SvmRescorer,
     TimingReport,
+    load_rescorer,
     run_cascade,
+    save_rescorer,
     train_cascade,
     train_rescorer,
 )

@@ -10,7 +10,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .channels import ChannelConfig, ChannelStack, compute_channels
-from .convnet import NetModel, NetSpec, TrainConfig, default_cifarnet, sgd_train
+from .convnet import (NetModel, NetSpec, SoftmaxSpec, TrainConfig, default_cifarnet,
+                      read_net, save_net, sgd_train)
 from .data import (
     BatchRatio,
     BatchSampler,
@@ -224,6 +225,15 @@ def _window_stacks(img, boxes, geom, channel_cfg):
     return [compute_channels(extract_window(img, b, geom), channel_cfg) for b in boxes]
 
 
+def _random_negatives(n, img, ann, geom, cfg: CascadeTrainConfig, rng):
+    """n random boxes of at least cfg.sliding.min_height, kept when below
+    cfg.policy.neg_iou with every GT box."""
+    cand = random_boxes(n, (img.height, img.width), rng, geom,
+                        min_height=max(1, int(cfg.sliding.min_height)))
+    return [b for b in cand
+            if max((iou(b, g) for g in ann.gt_boxes), default=0.0) < cfg.policy.neg_iou]
+
+
 def forest_training_pool(
     images: Sequence[Tuple[str, Image]],
     frames: Sequence[FrameAnnotation],
@@ -240,14 +250,8 @@ def forest_training_pool(
     pos, neg = [], []
     for (_, img), ann in zip(images, frames):
         pos.extend(_window_stacks(img, ann.gt_boxes, cfg.geometry, cfg.channel_cfg))
-        cand = random_boxes(
-            cfg.forest_negatives_per_frame, (img.height, img.width), rng, cfg.geometry,
-            min_height=max(1, int(cfg.sliding.min_height)),
-        )
-        keep = [
-            b for b in cand
-            if max((iou(b, g) for g in ann.gt_boxes), default=0.0) < cfg.policy.neg_iou
-        ]
+        keep = _random_negatives(cfg.forest_negatives_per_frame, img, ann, cfg.geometry,
+                                 cfg, rng)
         keep += jittered_negatives(
             ann.gt_boxes, 3, (img.height, img.width), rng, cfg.policy.neg_iou
         )
@@ -255,34 +259,53 @@ def forest_training_pool(
     return pos, neg
 
 
-def _collect_rescorer_pool(images, frames, proposals, cfg: CascadeTrainConfig, rng):
-    """Labeled (window, 0/1) pool for the second stage, per the policy."""
+def rescorer_training_pool(images, frames, proposals, cfg: CascadeTrainConfig, rng):
+    """Labeled (image-layout window, 0/1) pool for the second stage, per the
+    policy.  Frames and proposals pair with images by position; with
+    neg_source "random", each frame draws len(proposals) + 4 candidates."""
     geom = cfg.net_geometry or cfg.geometry
-    windows: List[np.ndarray] = []
-    labels: List[int] = []
+    windows, labels = [], []
     for (fid, img), ann, props in zip(images, frames, proposals):
         boxes = [d.box for d in props]
         labs = label_proposals(boxes, ann.gt_boxes, cfg.policy)
-        pos = [b for b, l in zip(boxes, labs) if l == LABEL_POS]
-        pos.extend(ann.gt_boxes)
+        pos = [b for b, l in zip(boxes, labs) if l == LABEL_POS] + list(ann.gt_boxes)
         if cfg.policy.neg_source == "random":
-            cand = random_boxes(
-                len(boxes) + 4, (img.height, img.width), rng, geom,
-                min_height=max(1, int(cfg.sliding.min_height)),
-            )
-            neg = [
-                b for b in cand
-                if max((iou(b, g) for g in ann.gt_boxes), default=0.0) < cfg.policy.neg_iou
-            ]
+            neg = _random_negatives(len(boxes) + 4, img, ann, geom, cfg, rng)
         else:
             neg = [b for b, l in zip(boxes, labs) if l == LABEL_NEG]
-        for b in pos:
-            windows.append(extract_window(img, b, geom))
-            labels.append(1)
-        for b in neg:
-            windows.append(extract_window(img, b, geom))
-            labels.append(0)
+        windows.extend(extract_window(img, b, geom) for b in pos + neg)
+        labels.extend([1] * len(pos) + [0] * len(neg))
+    if not any(labels) or all(labels):
+        raise CascadeError("rescorer pool is single-class; adjust the policy")
     return windows, labels
+
+
+def _centred(windows: Sequence[np.ndarray], input_mean: float) -> List[np.ndarray]:
+    return [_net_layout(w[None])[0] - input_mean for w in windows]
+
+
+def train_net_rescorer(windows, labels, cfg: CascadeTrainConfig) -> NetRescorer:
+    """Fit cfg.net_spec (default: cifarnet sized to the windows) on a labeled
+    pool of image-layout windows, centred by the pool's mean."""
+    input_mean = float(np.mean([w.mean() for w in windows]))
+    net_windows = _centred(windows, input_mean)
+    in_ch, h, w = net_windows[0].shape
+    spec = cfg.net_spec or default_cifarnet(input_channels=in_ch, input_hw=(h, w))
+    model = NetModel(spec, seed=cfg.seed, init_sigma=cfg.net_train.init_sigma,
+                     first_layer_sigma=cfg.net_train.first_layer_sigma)
+    sampler = BatchSampler(net_windows, labels, cfg.net_train.batch, cfg.ratio, seed=cfg.seed)
+    sgd_train(model, sampler, cfg.net_train)
+    return NetRescorer(model, input_mean=input_mean)
+
+
+def train_svm_head(rescorer: NetRescorer, windows, labels, cfg: SvmConfig) -> SvmRescorer:
+    """Fit a linear SVM on the trained net's cfg.feature_layer features of a
+    labeled pool; the head keeps the net and its input mean."""
+    phi = rescorer.model.features(np.stack(_centred(windows, rescorer.input_mean)),
+                                  cfg.feature_layer)
+    y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
+    w, b = train_svm(phi, y, cfg)
+    return SvmRescorer(rescorer.model, w, b, cfg.feature_layer, rescorer.input_mean)
 
 
 def train_rescorer(
@@ -294,29 +317,37 @@ def train_rescorer(
     """Train the second-stage rescorer on windows labeled from filtered
     proposals.  Returns a callable rescorer (net or SVM head per the config)."""
     rng = np.random.default_rng(cfg.seed)
-    windows, labels = _collect_rescorer_pool(images, frames, proposals, cfg, rng)
-    if not any(labels) or all(labels):
-        raise CascadeError("rescorer pool is single-class; adjust the policy")
-
-    net_geom = cfg.net_geometry or cfg.geometry
-    input_mean = float(np.mean([w.mean() for w in windows]))
-    net_windows = [_net_layout(w[None])[0] - input_mean for w in windows]
-    in_ch = net_windows[0].shape[0]
-    spec = cfg.net_spec or default_cifarnet(input_channels=in_ch, input_hw=net_geom.window)
-    model = NetModel(
-        spec, seed=cfg.seed,
-        init_sigma=cfg.net_train.init_sigma,
-        first_layer_sigma=cfg.net_train.first_layer_sigma,
-    )
-    sampler = BatchSampler(net_windows, labels, cfg.net_train.batch, cfg.ratio, seed=cfg.seed)
-    sgd_train(model, sampler, cfg.net_train)
-
+    windows, labels = rescorer_training_pool(images, frames, proposals, cfg, rng)
+    rescorer = train_net_rescorer(windows, labels, cfg)
     if cfg.rescorer_kind == "net":
-        return NetRescorer(model, input_mean=input_mean)
-    phi = model.features(np.stack(net_windows), cfg.svm.feature_layer)
-    y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
-    w, b = train_svm(phi, y, cfg.svm)
-    return SvmRescorer(model, w, b, cfg.svm.feature_layer, input_mean=input_mean)
+        return rescorer
+    return train_svm_head(rescorer, windows, labels, cfg.svm)
+
+
+def save_rescorer(rescorer, path) -> None:
+    """Write a NetRescorer or SvmRescorer as one net file: the weights, plus
+    the input mean and any SVM head in its JSON header."""
+    header = {"input_mean": rescorer.input_mean}
+    if isinstance(rescorer, SvmRescorer):
+        header.update(feature_layer=rescorer.feature_layer, w=rescorer.w.tolist(),
+                      b=rescorer.b)
+    save_net(rescorer.model, path, header)
+
+
+def load_rescorer(path):
+    """The NetRescorer or SvmRescorer in a net file; a header without an
+    input mean loads as mean 0.0."""
+    model, header = read_net(path)
+    if model.spec.layers[-1:] != [SoftmaxSpec()] or model.spec.shapes()[-1] != (2,):
+        raise ValueError(f"{path}: a rescorer net must end in a 2-class softmax")
+    mean = float(header.get("input_mean", 0.0))
+    if "w" not in header:
+        return NetRescorer(model, input_mean=mean)
+    layer = header["feature_layer"]
+    shape = model.spec.shapes()[model.layer_names.index(layer)]
+    if len(header["w"]) != int(np.prod(shape)):
+        raise ValueError(f"{path}: SVM head does not fit the {layer} features {shape}")
+    return SvmRescorer(model, header["w"], header["b"], layer, input_mean=mean)
 
 
 def train_cascade(

@@ -22,34 +22,25 @@ from .cascade import (
     CascadeError,
     CascadeTrainConfig,
     IdentityRescorer,
-    NetRescorer,
     forest_training_pool,
+    load_rescorer,
+    rescorer_training_pool,
     run_cascade,
+    save_rescorer,
+    train_rescorer,
+    train_svm_head,
 )
 from .channels import ChannelConfig
-from .convnet import (
-    NetModel,
-    TrainConfig,
-    TrainingDiverged,
-    default_cifarnet,
-    load_net,
-    save_net,
-)
+from .convnet import TrainConfig, TrainingDiverged, default_cifarnet, save_net
 from .data import (
     BatchRatio,
-    BatchSampler,
     DataError,
     LabelingPolicy,
     WindowGeometry,
     annotations_to_json,
     detections_from_json,
     detections_to_json,
-    extract_window,
-    label_proposals,
     load_annotations,
-    random_boxes,
-    LABEL_NEG,
-    LABEL_POS,
 )
 from .evaluate import (
     LamrConfig,
@@ -68,11 +59,10 @@ from .forest import (
     train_forest,
 )
 from .forest2nn import compile_forest, soften, to_netmodel, verify_equivalence
-from .geometry import iou
 from .imageops import Image, read_pnm, write_pnm
 from .manifest import RunManifest
-from .svm import SvmConfig, train_svm
-from .sweep import grid_sweep, sweep_to_csv
+from .svm import SvmConfig
+from .sweep import grid_sweep, sweep_to_csv, task_runner
 from .synth import SynthSpec, synth_dataset
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -126,12 +116,43 @@ def _load_images(path, color: bool = False) -> List[Tuple[str, Image]]:
     return images
 
 
-def _load_forest(path):
-    """The forest model in `path`; a malformed file is a DataError naming it."""
+def _load(loader, path, kind: str):
+    """loader(path); a malformed file is a DataError naming it."""
     try:
-        return load_forest(path)
+        return loader(path)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed forest file ({type(exc).__name__}: {exc})") from exc
+        raise DataError(f"{path}: malformed {kind} file ({type(exc).__name__}: {exc})") from exc
+
+
+def _cascade_config(args, threshold: float = 0.0, proposals_avg: float = 3.0) -> CascadeConfig:
+    """The cascade `detect` and `bench` run: the --model forest, rescored by
+    the --net rescorer when one is given."""
+    forest = _load(load_forest, args.model, "forest")
+    rescorer = _load(load_rescorer, args.net, "net") if args.net else None
+    return CascadeConfig(
+        proposal_model=forest,
+        rescorer=rescorer or IdentityRescorer(),
+        proposal_filter_avg=proposals_avg,
+        score_blend="replace" if rescorer else "none",
+        sliding=SlidingWindowConfig(score_threshold=threshold),
+    )
+
+
+def _aligned_frames(images, frames):
+    """The annotations of `images`, in their order, matched by frame id."""
+    by_id = {f.frame_id: f for f in frames}
+    for fid, _ in images:
+        if fid not in by_id:
+            raise DataError(f"no annotation for frame {fid}")
+    return [by_id[fid] for fid, _ in images]
+
+
+def _rescorer_inputs(args):
+    """Images, their annotations and their proposals, aligned by frame id."""
+    images = _load_images(args.images)
+    frames = _aligned_frames(images, load_annotations(args.annotations, args.format))
+    by_id = detections_from_json(json.loads(Path(args.proposals).read_text()))
+    return images, frames, [by_id.get(fid, []) for fid, _ in images]
 
 
 def _write_manifest(args, command: str, config: dict, seeds: dict, inputs: Sequence) -> RunManifest:
@@ -139,31 +160,6 @@ def _write_manifest(args, command: str, config: dict, seeds: dict, inputs: Seque
     man.record_inputs([p for p in inputs if p and Path(p).exists()])
     man.write(_out_dir(args) / f"manifest_{command.replace(' ', '_')}.json")
     return man
-
-
-def _collect_training_pool(images, frames, policy, geometry, proposals_by_frame, rng):
-    """Labeled context windows (net layout) for rescorer training."""
-    windows, labels = [], []
-    frames_by_id = {f.frame_id: f for f in frames}
-    for fid, img in images:
-        ann = frames_by_id.get(fid)
-        if ann is None:
-            raise DataError(f"no annotation for frame {fid}")
-        props = [d.box for d in proposals_by_frame.get(fid, [])]
-        labs = label_proposals(props, ann.gt_boxes, policy)
-        pos = [b for b, l in zip(props, labs) if l == LABEL_POS] + list(ann.gt_boxes)
-        if policy.neg_source == "random":
-            cand = random_boxes(len(props) + 4, (img.height, img.width), rng, geometry)
-            neg = [b for b in cand
-                   if max((iou(b, g) for g in ann.gt_boxes), default=0.0) < policy.neg_iou]
-        else:
-            neg = [b for b, l in zip(props, labs) if l == LABEL_NEG]
-        for b, lab in [(b, 1) for b in pos] + [(b, 0) for b in neg]:
-            w = extract_window(img, b, geometry)
-            w = w.transpose(2, 0, 1) if w.ndim == 3 else w[None]
-            windows.append(w)
-            labels.append(lab)
-    return windows, labels
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +202,9 @@ def _cmd_train_forest(args) -> int:
         {"channels": channel_kind, "trees": n_trees},
         {"seed": args.seed}, [args.annotations],
     )
-    frames_by_id = {f.frame_id: f for f in frames}
-    for fid, _ in images:
-        if fid not in frames_by_id:
-            raise DataError(f"no annotation for frame {fid}")
     cfg = CascadeTrainConfig(channel_cfg=ChannelConfig(channel_kind),
                              forest_negatives_per_frame=args.negatives_per_frame)
-    pos, neg = forest_training_pool(images, [frames_by_id[fid] for fid, _ in images], cfg,
+    pos, neg = forest_training_pool(images, _aligned_frames(images, frames), cfg,
                                     np.random.default_rng(args.seed))
     if not pos or not neg:
         raise DataError("training pool has an empty class")
@@ -224,7 +216,7 @@ def _cmd_train_forest(args) -> int:
 
 
 def _cmd_compile_forest(args) -> int:
-    model = _load_forest(args.model)
+    model = _load(load_forest, args.model, "forest")
     _write_manifest(args, "compile-forest", {"sharpness": args.sharpness},
                     {"seed": args.seed}, [args.model])
     net = compile_forest(model)
@@ -240,9 +232,7 @@ def _cmd_compile_forest(args) -> int:
 
 def _cmd_train_net(args) -> int:
     cfgfile = _load_config_file(args.config)
-    images = _load_images(args.images)
-    frames = load_annotations(args.annotations, args.format)
-    proposals = detections_from_json(json.loads(Path(args.proposals).read_text()))
+    images, frames, proposals = _rescorer_inputs(args)
     train_kwargs = {k: cfgfile[k] for k in
                     ("lr", "momentum", "batch", "weight_decay", "epochs", "extra_epochs")
                     if k in cfgfile}
@@ -251,70 +241,45 @@ def _cmd_train_net(args) -> int:
     if args.batch is not None:
         train_kwargs["batch"] = args.batch
     tc = TrainConfig(seed=args.seed, **train_kwargs)
-    policy = LabelingPolicy(neg_source=args.neg_source)
     ratio = None if args.ratio == "none" else BatchRatio(*map(int, args.ratio.split(":")))
+    spec = default_cifarnet(input_channels=images[0][1].planes,
+                            input_hw=WindowGeometry().window, **cfgfile.get("net", {}))
+    cfg = CascadeTrainConfig(policy=LabelingPolicy(neg_source=args.neg_source), ratio=ratio,
+                             net_train=tc, net_spec=spec, seed=args.seed)
     _write_manifest(args, "train-net", {"train": vars(tc), "ratio": args.ratio},
                     {"seed": args.seed}, [args.annotations, args.proposals])
-
-    rng = np.random.default_rng(args.seed)
-    geometry = WindowGeometry()
-    windows, labels = _collect_training_pool(images, frames, policy, geometry, proposals, rng)
-    if not any(labels) or all(labels):
-        raise DataError("training pool is single-class")
-    in_ch = windows[0].shape[0]
-    spec_kwargs = cfgfile.get("net", {})
-    spec = default_cifarnet(input_channels=in_ch, input_hw=geometry.window, **spec_kwargs)
-    model = NetModel(spec, seed=args.seed, init_sigma=tc.init_sigma,
-                     first_layer_sigma=tc.first_layer_sigma)
-    sampler = BatchSampler(windows, labels, tc.batch, ratio, seed=args.seed)
-    from .convnet import sgd_train
-
-    sgd_train(model, sampler, tc)
-    save_net(model, args.net_out)
-    print(f"trained net ({model.n_parameters} parameters) -> {args.net_out}")
+    try:
+        rescorer = train_rescorer(images, frames, proposals, cfg)
+    except CascadeError as exc:  # a single-class pool
+        raise DataError(str(exc)) from exc
+    save_rescorer(rescorer, args.net_out)
+    print(f"trained net ({rescorer.model.n_parameters} parameters) -> {args.net_out}")
     return EXIT_OK
 
 
 def _cmd_train_svm(args) -> int:
-    images = _load_images(args.images)
-    frames = load_annotations(args.annotations, args.format)
-    proposals = detections_from_json(json.loads(Path(args.proposals).read_text()))
-    model = load_net(args.net)
-    cfg = SvmConfig(C=args.C, neg_overlap=args.neg_overlap, feature_layer=args.feature_layer)
-    _write_manifest(args, "train-svm", {"C": cfg.C, "neg_overlap": cfg.neg_overlap},
+    images, frames, proposals = _rescorer_inputs(args)
+    net = _load(load_rescorer, args.net, "net")
+    svm = SvmConfig(C=args.C, neg_overlap=args.neg_overlap, feature_layer=args.feature_layer)
+    _write_manifest(args, "train-svm", {"C": svm.C, "neg_overlap": svm.neg_overlap},
                     {"seed": args.seed}, [args.annotations, args.proposals, args.net])
-
-    rng = np.random.default_rng(args.seed)
-    policy = LabelingPolicy(neg_iou=cfg.neg_overlap)
-    windows, labels = _collect_training_pool(
-        images, frames, policy, WindowGeometry(), proposals, rng
-    )
-    if not any(labels) or all(labels):
-        raise DataError("training pool is single-class")
-    phi = model.features(np.stack(windows), cfg.feature_layer)
-    y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
-    w, b = train_svm(phi, y, cfg)
-    Path(args.svm_out).write_text(json.dumps(
-        {"version": 1, "feature_layer": cfg.feature_layer, "w": list(w), "b": b},
-        sort_keys=True,
-    ))
-    print(f"trained SVM head ({phi.shape[1]} features) -> {args.svm_out}")
+    cfg = CascadeTrainConfig(policy=LabelingPolicy(neg_iou=svm.neg_overlap), seed=args.seed)
+    try:
+        windows, labels = rescorer_training_pool(images, frames, proposals, cfg,
+                                                 np.random.default_rng(args.seed))
+    except CascadeError as exc:  # a single-class pool
+        raise DataError(str(exc)) from exc
+    head = train_svm_head(net, windows, labels, svm)
+    save_rescorer(head, args.svm_out)
+    print(f"trained SVM head ({head.w.size} features) -> {args.svm_out}")
     return EXIT_OK
 
 
 def _cmd_detect(args) -> int:
     images = _load_images(args.images, color=True)
-    model = _load_forest(args.model)
+    cfg = _cascade_config(args, args.threshold, args.proposals_avg)
     _write_manifest(args, "detect", {"threshold": args.threshold, "avg": args.proposals_avg},
-                    {}, [args.model])
-    sliding = SlidingWindowConfig(score_threshold=args.threshold)
-    rescorer = NetRescorer(load_net(args.net)) if args.net else IdentityRescorer()
-    cfg = CascadeConfig(
-        proposal_model=model, rescorer=rescorer,
-        proposal_filter_avg=args.proposals_avg,
-        score_blend="replace" if args.net else "none",
-        sliding=sliding,
-    )
+                    {}, [args.model, args.net])
     dets, report = run_cascade(images, cfg)
     Path(args.dets_out).write_text(
         json.dumps(detections_to_json(dets), indent=1, sort_keys=True)
@@ -361,65 +326,13 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_run_factory(task: dict):
-    """Build the per-cell runner for a sweep config.
-
-    Task "net-synth" trains the parameterized net on a small synthetic
-    window pool and reports held-out classification error.
-    """
-    kind = task.get("task", "net-synth")
-    if kind != "net-synth":
-        raise DataError(f"unknown sweep task {kind!r}")
-    n_frames = int(task.get("frames", 12))
-    epochs = int(task.get("epochs", 3))
-    hw = tuple(task.get("window", [32, 16]))
-
-    def run(params: dict, seed: int) -> float:
-        spec_train = SynthSpec(n_frames=n_frames, clutter=2.0)
-        images, frames = synth_dataset(spec_train, seed=seed)
-        rng = np.random.default_rng(seed)
-        geometry = WindowGeometry(window=hw, pedestrian_extent=(hw[0] * 3 // 4, hw[1] * 3 // 4))
-        windows, labels = [], []
-        for img, ann in zip(images, frames):
-            for b in ann.gt_boxes:
-                windows.append(extract_window(img, b, geometry).transpose(2, 0, 1))
-                labels.append(1)
-            for b in random_boxes(3, (img.height, img.width), rng, geometry):
-                if max((iou(b, g) for g in ann.gt_boxes), default=0.0) < 0.3:
-                    windows.append(extract_window(img, b, geometry).transpose(2, 0, 1))
-                    labels.append(0)
-        n_test = max(2, len(windows) // 5)
-        order = rng.permutation(len(windows))
-        test_i, train_i = order[:n_test], order[n_test:]
-        spec = default_cifarnet(
-            input_hw=hw,
-            conv_filters=tuple(params.get("filters", (8, 8, 16))),
-            conv_kernels=tuple(params.get("kernels", (3, 3, 3))),
-            fc_units=int(params.get("fc_units", 16)),
-        )
-        tc = TrainConfig(batch=16, epochs=epochs, extra_epochs=1, seed=seed)
-        model = NetModel(spec, seed=seed, init_sigma=tc.init_sigma,
-                         first_layer_sigma=tc.first_layer_sigma)
-        sampler = BatchSampler([windows[i] for i in train_i],
-                               [labels[i] for i in train_i], tc.batch, None, seed=seed)
-        from .convnet import sgd_train
-
-        sgd_train(model, sampler, tc)
-        probs = model.scores(np.stack([windows[i] for i in test_i]))
-        pred = (probs >= 0.5).astype(int)
-        truth = np.asarray([labels[i] for i in test_i])
-        return float(np.mean(pred != truth))
-
-    return run
-
-
 def _cmd_sweep(args) -> int:
     cfg = _load_config_file(args.config)
     axes = [(name, values) for name, values in cfg.get("axes", {}).items()]
     if not axes:
         raise DataError(f"{args.config}: config needs a non-empty 'axes' mapping")
     _write_manifest(args, "sweep", cfg, {"base_seed": args.seed}, [args.config])
-    run = _sweep_run_factory(cfg.get("task_config", {}))
+    run = task_runner(cfg.get("task_config", {}))
     cells = grid_sweep(axes, run, n_seeds=args.seeds_per_cell, base_seed=args.seed)
     csv_path = _out_dir(args) / "sweep.csv"
     csv_path.write_text(sweep_to_csv(cells))
@@ -430,14 +343,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bench(args) -> int:
     images = _load_images(args.images, color=True)
-    model = _load_forest(args.model)
-    net = load_net(args.net) if args.net else None
-    _write_manifest(args, "bench", {}, {}, [args.model])
-    cfg = CascadeConfig(
-        proposal_model=model,
-        rescorer=NetRescorer(net) if net else IdentityRescorer(),
-        score_blend="replace" if net else "none",
-    )
+    cfg = _cascade_config(args)
+    _write_manifest(args, "bench", {}, {}, [args.model, args.net])
     _, report = run_cascade(images, cfg)
     ok = report.consistent(len(images))
     print(f"ms_per_window {report.ms_per_window:.3f}")

@@ -324,7 +324,7 @@ def _build_layer(spec: LayerSpec, in_shape: Tuple[int, ...]):
 class TrainConfig:
     lr: float = 0.005
     momentum: float = 0.9
-    batch: int = 128
+    batch: int = 120  # a multiple of 6, so it splits 1:5
     weight_decay: float = 0.005
     final_layer_decay: float = 1.0  # decay multiplier for the softmax-input FC layer
     epochs: int = 60
@@ -530,12 +530,14 @@ def spec_from_json(d: dict) -> NetSpec:
     return NetSpec(input_shape=tuple(d["input_shape"]), layers=layers)
 
 
-def save_net(model: NetModel, path) -> None:
+def save_net(model: NetModel, path, extra: Optional[dict] = None) -> None:
+    """Write `model` as a net file; the `extra` keys join its JSON header."""
     tensors = [p for _, layer in model.param_layers() for p in layer.params]
     manifest = {
         "spec": spec_to_json(model.spec),
         "tensor_shapes": [list(t.shape) for t in tensors],
         "training_log": model.training_log,
+        **(extra or {}),
     }
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
     buf = io.BytesIO()
@@ -547,24 +549,31 @@ def save_net(model: NetModel, path) -> None:
     Path(path).write_bytes(buf.getvalue())
 
 
-def load_net(path) -> NetModel:
+def read_net(path) -> Tuple[NetModel, dict]:
+    """The model in a net file and the file's JSON header.  A file of another
+    size than its header declares is a ValueError naming it."""
     raw = Path(path).read_bytes()
-    if raw[: len(NET_MAGIC)] != NET_MAGIC:
+    off = len(NET_MAGIC) + struct.calcsize("<HI")
+    if raw[: len(NET_MAGIC)] != NET_MAGIC or len(raw) < off:
         raise ValueError(f"{path}: not a net model file")
-    off = len(NET_MAGIC)
-    version, hlen = struct.unpack_from("<HI", raw, off)
+    version, hlen = struct.unpack_from("<HI", raw, len(NET_MAGIC))
     if version != NET_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported net format version {version}")
-    off += struct.calcsize("<HI")
+    if len(raw) < off + hlen:
+        raise ValueError(f"{path}: truncated net file ({len(raw)} bytes)")
     manifest = json.loads(raw[off : off + hlen].decode("utf-8"))
     off += hlen
     model = NetModel(spec_from_json(manifest["spec"]), seed=0)
     model.training_log = manifest.get("training_log", [])
+    expected = off + 8 * model.n_parameters
+    if len(raw) != expected:
+        raise ValueError(f"{path}: {len(raw)} bytes, but its header declares {expected}")
     for _, layer in model.param_layers():
-        for j, p in enumerate(layer.params):
-            shape = p.shape
-            count = p.size
-            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
-            off += count * 8
-            layer.params[j][...] = arr
-    return model
+        for p in layer.params:
+            p[...] = np.frombuffer(raw, dtype="<f8", count=p.size, offset=off).reshape(p.shape)
+            off += p.size * 8
+    return model, manifest
+
+
+def load_net(path) -> NetModel:
+    return read_net(path)[0]

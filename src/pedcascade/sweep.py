@@ -11,6 +11,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .cascade import CascadeTrainConfig, rescorer_training_pool, train_net_rescorer
+from .convnet import TrainConfig, default_cifarnet
+from .data import DataError, LabelingPolicy, WindowGeometry
+from .synth import SynthSpec, synth_dataset
+
 
 @dataclass
 class SweepCell:
@@ -72,3 +77,43 @@ def sweep_to_csv(cells: Sequence[SweepCell]) -> str:
             row += ["", "", 0, cell.error]
         writer.writerow(row)
     return out.getvalue()
+
+
+def task_runner(task: dict) -> Callable[[Dict[str, object], int], float]:
+    """The per-cell runner `run(params, seed)` of a sweep config's task.
+    Task "net-synth" trains the parameterized net on the rescorer pool of a
+    small synthetic set (GT positives, random negatives below IoU 0.3 with
+    every GT box) and reports held-out classification error."""
+    kind = task.get("task", "net-synth")
+    if kind != "net-synth":
+        raise DataError(f"unknown sweep task {kind!r}")
+    n_frames = int(task.get("frames", 12))
+    epochs = int(task.get("epochs", 3))
+    hw = tuple(task.get("window", [32, 16]))
+    geometry = WindowGeometry(window=hw, pedestrian_extent=(hw[0] * 3 // 4, hw[1] * 3 // 4))
+
+    def run(params: dict, seed: int) -> float:
+        images, frames = synth_dataset(SynthSpec(n_frames=n_frames, clutter=2.0), seed=seed)
+        cfg = CascadeTrainConfig(
+            geometry=geometry, policy=LabelingPolicy(neg_iou=0.3, neg_source="random"),
+            ratio=None, seed=seed,
+            net_train=TrainConfig(batch=16, epochs=epochs, extra_epochs=1, seed=seed),
+            net_spec=default_cifarnet(
+                input_hw=hw,
+                conv_filters=tuple(params.get("filters", (8, 8, 16))),
+                conv_kernels=tuple(params.get("kernels", (3, 3, 3))),
+                fc_units=int(params.get("fc_units", 16)),
+            ),
+        )
+        rng = np.random.default_rng(seed)
+        pairs = [(f.frame_id, img) for f, img in zip(frames, images)]
+        windows, labels = rescorer_training_pool(pairs, frames, [[]] * len(pairs), cfg, rng)
+        order = rng.permutation(len(windows))
+        n_test = max(2, len(windows) // 5)
+        test_i, train_i = order[:n_test], order[n_test:]
+        net = train_net_rescorer([windows[i] for i in train_i],
+                                 [labels[i] for i in train_i], cfg)
+        probs = net(np.stack([windows[i] for i in test_i]), None)
+        return float(np.mean((probs >= 0.5) != np.asarray(labels)[test_i]))
+
+    return run

@@ -11,14 +11,17 @@ from pedcascade.cascade import (
     NetRescorer,
     SvmRescorer,
     TimingReport,
+    load_rescorer,
     run_cascade,
+    save_rescorer,
     train_cascade,
 )
 from pedcascade.channels import compute_channels
 from pedcascade.convnet import (
     NetModel, NetSpec, ConvSpec, PoolSpec, ReLUSpec, FCSpec, SoftmaxSpec, TrainConfig,
+    read_net, save_net,
 )
-from pedcascade.data import BatchRatio
+from pedcascade.data import BatchRatio, BatchSampler
 from pedcascade.forest import detect, filter_proposals, score_window_grid
 from pedcascade.forest2nn import compile_forest
 from pedcascade.geometry import nms
@@ -231,3 +234,48 @@ class TestTrainCascade:
         from pedcascade.forest import forest_to_json
 
         assert forest_to_json(a.proposal_model) == forest_to_json(b.proposal_model)
+
+
+class TestRescorerFile:
+    @staticmethod
+    def model():
+        spec = NetSpec((3, 8, 6), [ConvSpec(2, 3, pad=1), PoolSpec("max"), ReLUSpec(),
+                                   FCSpec(5), ReLUSpec(), FCSpec(2), SoftmaxSpec()])
+        return NetModel(spec, seed=4, init_sigma=0.5, first_layer_sigma=0.5)
+
+    def test_svm_head_roundtrip(self, tmp_path):
+        head = SvmRescorer(self.model(), np.arange(5.0) / 7, 0.3, "fc1", input_mean=0.45)
+        path = tmp_path / "svm.bin"
+        save_rescorer(head, path)
+        back = load_rescorer(path)
+        assert isinstance(back, SvmRescorer)
+        assert np.array_equal(back.w, head.w)
+        assert (back.b, back.feature_layer, back.input_mean) == (0.3, "fc1", 0.45)
+        windows = np.random.default_rng(0).random((3, 8, 6, 3))
+        assert np.array_equal(back(windows, None), head(windows, None))
+
+    def test_file_without_mean_loads_as_mean_zero(self, tmp_path):
+        """Net files written before the header kept a mean load as mean 0."""
+        model = self.model()
+        path = tmp_path / "net.bin"
+        save_net(model, path)
+        assert "input_mean" not in read_net(path)[1]
+        back = load_rescorer(path)
+        assert isinstance(back, NetRescorer) and back.input_mean == 0.0
+        windows = np.random.default_rng(0).random((3, 8, 6, 3))
+        assert np.array_equal(back(windows, None),
+                              model.scores(windows.transpose(0, 3, 1, 2)))
+
+    def test_rejects_head_that_does_not_fit(self, tmp_path):
+        path = tmp_path / "svm.bin"
+        save_rescorer(SvmRescorer(self.model(), np.ones(4), 0.0, "fc1"), path)
+        with pytest.raises(ValueError, match=str(path)):
+            load_rescorer(path)
+
+
+def test_default_batch_fits_default_ratio():
+    labels = [1] * 4 + [0] * 20
+    windows = [np.zeros(2)] * len(labels)
+    sampler = BatchSampler(windows, labels, TrainConfig().batch, CascadeTrainConfig().ratio)
+    x, y = sampler.next_batch()
+    assert len(y) == TrainConfig().batch and 6 * int(np.sum(y)) == len(y)

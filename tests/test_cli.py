@@ -3,13 +3,40 @@ import json
 import numpy as np
 import pytest
 
-from pedcascade.cascade import CascadeTrainConfig, forest_training_pool
+from pedcascade.cascade import (
+    CascadeConfig,
+    CascadeTrainConfig,
+    NetRescorer,
+    SvmRescorer,
+    forest_training_pool,
+    load_rescorer,
+    rescorer_training_pool,
+    run_cascade,
+    save_rescorer,
+    train_rescorer,
+    train_svm_head,
+)
 from pedcascade.channels import ChannelConfig
 from pedcascade.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_dispatch
-from pedcascade.data import annotations_to_json, detections_to_json, load_annotations
-from pedcascade.forest import default_candidate_rects, forest_to_json, save_forest, train_forest
+from pedcascade.convnet import NetModel, TrainConfig, default_cifarnet
+from pedcascade.data import (
+    WindowGeometry,
+    annotations_to_json,
+    detections_to_json,
+    load_annotations,
+    random_boxes,
+)
+from pedcascade.forest import (
+    SlidingWindowConfig,
+    default_candidate_rects,
+    forest_to_json,
+    load_forest,
+    save_forest,
+    train_forest,
+)
 from pedcascade.geometry import Detection
-from pedcascade.imageops import read_pnm
+from pedcascade.imageops import read_pnm, write_pnm
+from pedcascade.svm import SvmConfig
 
 
 def run(argv):
@@ -241,3 +268,189 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "fc_units,mean,std,n,error"
         assert len(lines) == 3
+
+
+SMALL_NET = {"conv_filters": [2, 2, 3], "conv_kernels": [3, 3, 3], "fc_units": 4}
+
+
+def small_net(seed=3):
+    """A small net on the CLI's 128x64 windows whose scores move with the mean."""
+    spec = default_cifarnet(input_hw=WindowGeometry().window, **SMALL_NET)
+    return NetModel(spec, seed=seed, init_sigma=0.3, first_layer_sigma=0.3)
+
+
+@pytest.fixture
+def detect_inputs(tmp_path, tiny_world, tiny_forest):
+    """Three tiny-world frames as PPM files, the forest file, and the frames
+    as the CLI reads them back."""
+    d = tmp_path / "imgs"
+    d.mkdir()
+    for fid, img in tiny_world[0][:3]:
+        write_pnm(d / f"{fid}.ppm", img)
+    model_path = tmp_path / "forest.json"
+    save_forest(tiny_forest, model_path)
+    images = [(p.stem, read_pnm(p)) for p in sorted(d.glob("*.ppm"))]
+    return d, model_path, images
+
+
+class TestDetectNet:
+    """`detect --net` scores exactly what the library rescorer scores."""
+
+    def cli_and_library(self, tmp_path, detect_inputs, rescorer, name):
+        images_dir, model_path, images = detect_inputs
+        net_path = tmp_path / f"{name}.bin"
+        save_rescorer(rescorer, net_path)
+        dets_out = tmp_path / f"{name}.json"
+        assert run(["--out-dir", tmp_path, "detect", "--images", images_dir,
+                    "--model", model_path, "--net", net_path, "--dets-out", dets_out,
+                    "--threshold=-1e9"]) == EXIT_OK
+        cfg = CascadeConfig(proposal_model=load_forest(model_path), rescorer=rescorer,
+                            sliding=SlidingWindowConfig(score_threshold=-1e9),
+                            geometry=WindowGeometry())
+        lib, report = run_cascade(images, cfg)
+        assert report.windows_scored > 0
+        return dets_out.read_text(), json.dumps(detections_to_json(lib), indent=1,
+                                                sort_keys=True)
+
+    @pytest.mark.parametrize("kind", ["net", "svm"])
+    def test_detections_equal_run_cascade(self, tmp_path, detect_inputs, capsys, kind):
+        model = small_net()
+        w, b = np.random.default_rng(2).normal(size=4), 0.1
+
+        def make(mean):
+            if kind == "net":
+                return NetRescorer(model, input_mean=mean)
+            return SvmRescorer(model, w, b, "fc1", input_mean=mean)
+
+        cli, lib = self.cli_and_library(tmp_path, detect_inputs, make(0.4), "centred")
+        assert cli == lib
+        # the mean reaches the scores: an uncentred rescorer detects otherwise
+        uncentred, _ = self.cli_and_library(tmp_path, detect_inputs, make(0.0), "uncentred")
+        assert uncentred != cli
+
+
+@pytest.fixture
+def rescorer_data(tmp_path):
+    """Three synthetic frames on disk, random-box proposals for them, and the
+    same inputs in memory, aligned by frame id."""
+    assert run(["--out-dir", tmp_path, "synth", "--frames", "3", "--height", "120",
+                "--width", "160", "--seed", "5"]) == EXIT_OK
+    images = [(p.stem, read_pnm(p)) for p in sorted((tmp_path / "images").glob("*.ppm"))]
+    by_id = {f.frame_id: f for f in load_annotations(tmp_path / "annotations.json", "json")}
+    frames = [by_id[fid] for fid, _ in images]
+    rng = np.random.default_rng(2)
+    proposals = [[Detection(b, float(rng.random()))
+                  for b in random_boxes(12, (img.height, img.width), rng)]
+                 for _, img in images]
+    props_path = tmp_path / "proposals.json"
+    props_path.write_text(json.dumps(detections_to_json(
+        {fid: p for (fid, _), p in zip(images, proposals)})))
+    args = ["--images", tmp_path / "images", "--annotations", tmp_path / "annotations.json",
+            "--proposals", props_path]
+    return args, images, frames, proposals
+
+
+class TestTrainRescorer:
+    """`train-net` and `train-svm` write what the library trains."""
+
+    def test_train_net_writes_the_library_net(self, tmp_path, rescorer_data, capsys):
+        args, images, frames, proposals = rescorer_data
+        cfg_path = tmp_path / "net.json"
+        cfg_path.write_text(json.dumps({"version": 1, "net": SMALL_NET, "epochs": 1,
+                                        "extra_epochs": 0, "batch": 12}))
+        cli_net = tmp_path / "cli_net.bin"
+        assert run(["--out-dir", tmp_path, "train-net", *args, "--net-out", cli_net,
+                    "--config", cfg_path, "--seed", "9"]) == EXIT_OK
+
+        cfg = CascadeTrainConfig(
+            net_spec=default_cifarnet(input_hw=WindowGeometry().window, **SMALL_NET),
+            net_train=TrainConfig(batch=12, epochs=1, extra_epochs=0, seed=9), seed=9,
+        )
+        rescorer = train_rescorer(images, frames, proposals, cfg)
+        assert rescorer.input_mean != 0.0
+        lib_net = tmp_path / "lib_net.bin"
+        save_rescorer(rescorer, lib_net)
+        assert cli_net.read_bytes() == lib_net.read_bytes()
+
+    def test_train_svm_writes_the_library_head(self, tmp_path, rescorer_data, capsys):
+        args, images, frames, proposals = rescorer_data
+        net = NetRescorer(small_net(), input_mean=0.3)
+        net_path = tmp_path / "net.bin"
+        save_rescorer(net, net_path)
+        svm_path = tmp_path / "svm.bin"
+        assert run(["--out-dir", tmp_path, "train-svm", *args, "--net", net_path,
+                    "--svm-out", svm_path, "--seed", "4"]) == EXIT_OK
+
+        windows, labels = rescorer_training_pool(images, frames, proposals,
+                                                 CascadeTrainConfig(seed=4),
+                                                 np.random.default_rng(4))
+        head = train_svm_head(net, windows, labels, SvmConfig())
+        loaded = load_rescorer(svm_path)
+        assert isinstance(loaded, SvmRescorer)
+        assert np.array_equal(loaded.w, head.w) and loaded.b == head.b
+        assert (loaded.feature_layer, loaded.input_mean) == ("fc1", 0.3)
+        x = np.stack(windows)
+        assert np.array_equal(loaded(x, None), head(x, None))
+
+
+def _net_file(tmp_path, case, model_path):
+    """A net file the rescorer reader must reject, broken in one of four ways."""
+    path = tmp_path / f"{case}.bin"
+    if case == "forest_export":  # a 1-output FC net, not a 2-class softmax
+        assert run(["--out-dir", tmp_path, "compile-forest", "--model", model_path,
+                    "--net-out", path]) == EXIT_OK
+        return path
+    save_rescorer(NetRescorer(small_net(), input_mean=0.2), path)
+    raw = path.read_bytes()
+    path.write_bytes({"truncated": raw[:-8], "trailing_bytes": raw + bytes(8),
+                      "wrong_magic": b"NOTNET" + raw[6:]}[case])
+    return path
+
+
+class TestMalformedNet:
+    """A net file the rescorer reader rejects is a data error naming the file,
+    exit 2, for every subcommand that reads one."""
+
+    @pytest.mark.parametrize("command", ["detect", "bench", "train-svm"])
+    @pytest.mark.parametrize("case", ["truncated", "trailing_bytes", "wrong_magic",
+                                      "forest_export"])
+    def test_exits_2(self, tmp_path, detect_inputs, tiny_world, capsys, command, case):
+        images_dir, model_path, images = detect_inputs
+        net_path = _net_file(tmp_path, case, model_path)
+        capsys.readouterr()
+        args = ["--images", images_dir, "--net", net_path]
+        if command == "detect":
+            args += ["--model", model_path, "--dets-out", tmp_path / "dets.json"]
+        elif command == "bench":
+            args += ["--model", model_path]
+        else:
+            ann = tmp_path / "ann.json"
+            ann.write_text(json.dumps(annotations_to_json(tiny_world[1][:3])))
+            props = tmp_path / "props.json"
+            props.write_text(json.dumps(detections_to_json({})))
+            args += ["--annotations", ann, "--proposals", props,
+                     "--svm-out", tmp_path / "svm.bin"]
+        assert run(["--out-dir", tmp_path, command] + args) == 2 == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(net_path) in err
+
+    def test_empty_images_dir_exits_2(self, tmp_path, detect_inputs, capsys):
+        _, model_path, _ = detect_inputs
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert run(["--out-dir", tmp_path, "detect", "--images", empty, "--model", model_path,
+                    "--dets-out", tmp_path / "dets.json"]) == 2 == EXIT_DATA
+        assert str(empty) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["detect", "bench"])
+def test_manifest_records_the_net(tmp_path, detect_inputs, capsys, command):
+    images_dir, model_path, _ = detect_inputs
+    net_path = tmp_path / "net.bin"
+    save_rescorer(NetRescorer(small_net(), input_mean=0.2), net_path)
+    args = ["--images", images_dir, "--model", model_path, "--net", net_path]
+    if command == "detect":
+        args += ["--dets-out", tmp_path / "dets.json"]
+    assert run(["--out-dir", tmp_path, command] + args) == EXIT_OK
+    manifest = json.loads((tmp_path / f"manifest_{command}.json").read_text())
+    assert set(manifest["input_hashes"]) == {str(model_path), str(net_path)}

@@ -343,3 +343,14 @@ class TestModelUtilities:
         p.write_bytes(b"NOTNET")
         with pytest.raises(ValueError):
             load_net(p)
+
+
+@pytest.mark.parametrize("cut", ["truncated", "trailing_bytes"])
+def test_load_rejects_wrong_size_naming_the_file(tmp_path, cut):
+    model = NetModel(NetSpec((4,), [FCSpec(2), SoftmaxSpec()]), seed=0)
+    p = tmp_path / "net.bin"
+    save_net(model, p)
+    raw = p.read_bytes()
+    p.write_bytes(raw[:-8] if cut == "truncated" else raw + bytes(8))
+    with pytest.raises(ValueError, match=str(p)):
+        load_net(p)

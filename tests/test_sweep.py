@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +66,18 @@ class TestCsv:
 
     def test_empty(self):
         assert sweep_to_csv([]) == ""
+
+
+def test_net_sweep_script_smoke(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_net_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_net_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "sweep.csv"
+    monkeypatch.setattr(sys, "argv", ["run_net_sweep.py", "--seeds", "1", "--frames", "4",
+                                      "--epochs", "1", "--out", str(out)])
+    script.main()
+    lines = out.read_text().splitlines()
+    assert lines[0] == "fc_units,filters,mean,std,n,error"
+    assert len(lines) == 1 + 6
+    assert all(line.endswith(",1,") for line in lines[1:])  # no cell failed
