@@ -7,11 +7,8 @@ Usage: python3 scripts/run_compile_check.py [--trees 32] [--samples 10000]
 
 import argparse
 
-import numpy as np
-
-from pedcascade.cascade import CascadeTrainConfig, forest_training_pool
+from pedcascade.cascade import CascadeTrainConfig, train_proposal_forest
 from pedcascade.channels import ChannelConfig
-from pedcascade.forest import default_candidate_rects, train_forest
 from pedcascade.forest2nn import compile_forest, verify_equivalence
 from pedcascade.synth import SynthSpec, synth_dataset
 
@@ -25,11 +22,9 @@ def main():
 
     images, frames = synth_dataset(SynthSpec(n_frames=30, clutter=3.0), seed=args.seed)
     pairs = [(f.frame_id, img) for f, img in zip(frames, images)]
-    cfg = CascadeTrainConfig(channel_cfg=ChannelConfig("G_LUV"), forest_negatives_per_frame=10)
-    pos, neg = forest_training_pool(pairs, frames, cfg, np.random.default_rng(args.seed))
-
-    rects = default_candidate_rects(cfg.channel_cfg, cfg.geometry.window)
-    model = train_forest(pos, neg, args.trees, rects, cfg.channel_cfg, cfg.geometry.window)
+    cfg = CascadeTrainConfig(n_trees=args.trees, channel_cfg=ChannelConfig("G_LUV"),
+                             forest_negatives_per_frame=10, seed=args.seed)
+    model = train_proposal_forest(pairs, frames, cfg)
     print(f"forest: {len(model.trees)} trees (early_stop={model.early_stop})")
 
     net = compile_forest(model)

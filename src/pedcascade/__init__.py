@@ -5,7 +5,6 @@ rescorer, and detection evaluation metrics."""
 from .cascade import (
     CascadeConfig,
     CascadeTrainConfig,
-    CompiledNetRescorer,
     IdentityRescorer,
     NetRescorer,
     SvmRescorer,
@@ -22,8 +21,8 @@ from .convnet import (
     NetSpec,
     TrainConfig,
     default_cifarnet,
-    load_net,
     loss_and_grads,
+    read_net,
     save_net,
     sgd_train,
 )

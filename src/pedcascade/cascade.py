@@ -1,5 +1,5 @@
 """Two-stage detector: forest proposals, window extraction, rescoring
-(convnet, SVM head, compiled net, or identity), final NMS."""
+(convnet, SVM head, or identity), final NMS."""
 
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from .forest import (
     filter_proposals,
     train_forest,
 )
-from .forest2nn import CompiledNet
 from .geometry import Detection, iou, nms
 from .imageops import Image
 from .svm import SvmConfig, train_svm
@@ -93,22 +92,6 @@ class SvmRescorer:
         return phi @ self.w + self.b
 
 
-class CompiledNetRescorer:
-    """Scores each window with a compiled forest net on its own channels."""
-
-    def __init__(self, net: CompiledNet, channel_cfg: ChannelConfig):
-        self.net = net
-        self.channel_cfg = channel_cfg
-
-    def __call__(self, windows: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        out = np.empty(len(windows))
-        for i, win in enumerate(windows):
-            stack = compute_channels(win, self.channel_cfg)
-            pooled = self.net.pooled_features(stack, [(0, 0)])
-            out[i] = self.net.forward(pooled)[0][0]
-        return out
-
-
 @dataclass
 class CascadeConfig:
     proposal_model: ForestModel
@@ -116,7 +99,6 @@ class CascadeConfig:
     proposal_filter_avg: float = 3.0
     final_nms_iou: float = 0.5
     score_blend: str = "replace"  # "replace" or "none"
-    apply_final_nms: bool = True
     sliding: SlidingWindowConfig = field(default_factory=SlidingWindowConfig)
     geometry: WindowGeometry = field(default_factory=WindowGeometry)
 
@@ -148,7 +130,7 @@ def run_cascade(
     images: Sequence[Tuple[str, Image]], cfg: CascadeConfig
 ) -> Tuple[Dict[str, List[Detection]], TimingReport]:
     """Proposals, global score-threshold filtering to the target average,
-    window rescoring, optional final NMS.
+    window rescoring, final NMS (final_nms_iou=1.0 keeps every box).
 
     Rescoring only rewrites scores; box geometry is untouched before NMS.
     """
@@ -183,7 +165,7 @@ def run_cascade(
             t_rescore += time.perf_counter() - t1
             windows_scored += len(dets)
             dets = [replace(d, score=float(s)) for d, s in zip(dets, new_scores)]
-        out[fid] = nms(dets, cfg.final_nms_iou) if cfg.apply_final_nms else list(dets)
+        out[fid] = nms(dets, cfg.final_nms_iou)
 
     total = time.perf_counter() - t0
     n = len(images)
@@ -257,6 +239,21 @@ def forest_training_pool(
         )
         neg.extend(_window_stacks(img, keep, cfg.geometry, cfg.channel_cfg))
     return pos, neg
+
+
+def train_proposal_forest(
+    images: Sequence[Tuple[str, Image]],
+    frames: Sequence[FrameAnnotation],
+    cfg: CascadeTrainConfig,
+) -> ForestModel:
+    """The proposal forest: cfg.n_trees boosting rounds over the default
+    candidate rectangles, on the forest training pool drawn with a generator
+    seeded by cfg.seed.  A pool with an empty class is a CascadeError."""
+    pos, neg = forest_training_pool(images, frames, cfg, np.random.default_rng(cfg.seed))
+    if not pos or not neg:
+        raise CascadeError("training frames yielded an empty class")
+    rects = default_candidate_rects(cfg.channel_cfg, cfg.geometry.window)
+    return train_forest(pos, neg, cfg.n_trees, rects, cfg.channel_cfg, cfg.geometry.window)
 
 
 def rescorer_training_pool(images, frames, proposals, cfg: CascadeTrainConfig, rng):
@@ -360,16 +357,7 @@ def train_cascade(
     on the extracted windows, and assemble the cascade."""
     if len(images) != len(frames) or not images:
         raise CascadeError("need aligned, non-empty images and frames")
-    rng = np.random.default_rng(cfg.seed)
-
-    pos_stacks, neg_stacks = forest_training_pool(images, frames, cfg, rng)
-    if not pos_stacks or not neg_stacks:
-        raise CascadeError("training frames yielded an empty class")
-
-    rects = default_candidate_rects(cfg.channel_cfg, cfg.geometry.window)
-    forest = train_forest(
-        pos_stacks, neg_stacks, cfg.n_trees, rects, cfg.channel_cfg, cfg.geometry.window
-    )
+    forest = train_proposal_forest(images, frames, cfg)
 
     if cfg.rescorer_kind == "identity":
         return CascadeConfig(

@@ -22,11 +22,11 @@ from .cascade import (
     CascadeError,
     CascadeTrainConfig,
     IdentityRescorer,
-    forest_training_pool,
     load_rescorer,
     rescorer_training_pool,
     run_cascade,
     save_rescorer,
+    train_proposal_forest,
     train_rescorer,
     train_svm_head,
 )
@@ -51,13 +51,7 @@ from .evaluate import (
     recall_vs_iou,
     touching_fp_analysis,
 )
-from .forest import (
-    SlidingWindowConfig,
-    default_candidate_rects,
-    load_forest,
-    save_forest,
-    train_forest,
-)
+from .forest import SlidingWindowConfig, load_forest, save_forest
 from .forest2nn import compile_forest, soften, to_netmodel, verify_equivalence
 from .imageops import Image, read_pnm, write_pnm
 from .manifest import RunManifest
@@ -202,14 +196,12 @@ def _cmd_train_forest(args) -> int:
         {"channels": channel_kind, "trees": n_trees},
         {"seed": args.seed}, [args.annotations],
     )
-    cfg = CascadeTrainConfig(channel_cfg=ChannelConfig(channel_kind),
-                             forest_negatives_per_frame=args.negatives_per_frame)
-    pos, neg = forest_training_pool(images, _aligned_frames(images, frames), cfg,
-                                    np.random.default_rng(args.seed))
-    if not pos or not neg:
-        raise DataError("training pool has an empty class")
-    rects = default_candidate_rects(cfg.channel_cfg, cfg.geometry.window)
-    model = train_forest(pos, neg, n_trees, rects, cfg.channel_cfg, cfg.geometry.window)
+    cfg = CascadeTrainConfig(n_trees=n_trees, channel_cfg=ChannelConfig(channel_kind),
+                             forest_negatives_per_frame=args.negatives_per_frame, seed=args.seed)
+    try:
+        model = train_proposal_forest(images, _aligned_frames(images, frames), cfg)
+    except CascadeError as exc:  # an empty class
+        raise DataError(f"{args.annotations}: {exc}") from exc
     save_forest(model, args.model_out)
     print(f"trained {len(model.trees)} trees (early_stop={model.early_stop}) -> {args.model_out}")
     return EXIT_OK
@@ -242,8 +234,11 @@ def _cmd_train_net(args) -> int:
         train_kwargs["batch"] = args.batch
     tc = TrainConfig(seed=args.seed, **train_kwargs)
     ratio = None if args.ratio == "none" else BatchRatio(*map(int, args.ratio.split(":")))
-    spec = default_cifarnet(input_channels=images[0][1].planes,
-                            input_hw=WindowGeometry().window, **cfgfile.get("net", {}))
+    try:
+        spec = default_cifarnet(input_channels=images[0][1].planes,
+                                input_hw=WindowGeometry().window, **cfgfile.get("net", {}))
+    except TypeError as exc:  # a misspelt or misshapen "net" key
+        raise DataError(f"{args.config}: bad 'net' config ({exc})") from exc
     cfg = CascadeTrainConfig(policy=LabelingPolicy(neg_source=args.neg_source), ratio=ratio,
                              net_train=tc, net_spec=spec, seed=args.seed)
     _write_manifest(args, "train-net", {"train": vars(tc), "ratio": args.ratio},
@@ -260,10 +255,13 @@ def _cmd_train_net(args) -> int:
 def _cmd_train_svm(args) -> int:
     images, frames, proposals = _rescorer_inputs(args)
     net = _load(load_rescorer, args.net, "net")
-    svm = SvmConfig(C=args.C, neg_overlap=args.neg_overlap, feature_layer=args.feature_layer)
-    _write_manifest(args, "train-svm", {"C": svm.C, "neg_overlap": svm.neg_overlap},
+    if args.feature_layer not in net.model.layer_names:
+        raise DataError(f"{args.net}: no layer named {args.feature_layer!r} "
+                        f"(layers: {', '.join(net.model.layer_names)})")
+    svm = SvmConfig(C=args.C, feature_layer=args.feature_layer)
+    cfg = CascadeTrainConfig(policy=LabelingPolicy(neg_iou=args.neg_overlap), seed=args.seed)
+    _write_manifest(args, "train-svm", {"C": svm.C, "neg_overlap": args.neg_overlap},
                     {"seed": args.seed}, [args.annotations, args.proposals, args.net])
-    cfg = CascadeTrainConfig(policy=LabelingPolicy(neg_iou=svm.neg_overlap), seed=args.seed)
     try:
         windows, labels = rescorer_training_pool(images, frames, proposals, cfg,
                                                  np.random.default_rng(args.seed))

@@ -7,7 +7,7 @@ import io
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -362,10 +362,7 @@ class NetModel:
         names = []
         counts: Dict[str, int] = {}
         for spec in self.spec.layers:
-            kind = {
-                ConvSpec: "conv", PoolSpec: "pool", ReLUSpec: "relu",
-                SigmoidSpec: "sigmoid", FCSpec: "fc", SoftmaxSpec: "softmax",
-            }[type(spec)]
+            kind = _SPEC_KINDS[type(spec)]
             counts[kind] = counts.get(kind, 0) + 1
             names.append(f"{kind}{counts[kind]}")
         return names
@@ -501,20 +498,11 @@ _SPEC_TAGS = {
     "conv": ConvSpec, "pool": PoolSpec, "relu": ReLUSpec,
     "sigmoid": SigmoidSpec, "fc": FCSpec, "softmax": SoftmaxSpec,
 }
+_SPEC_KINDS = {cls: kind for kind, cls in _SPEC_TAGS.items()}
 
 
 def spec_to_json(spec: NetSpec) -> dict:
-    layers = []
-    for s in spec.layers:
-        tag = {v: k for k, v in _SPEC_TAGS.items()}[type(s)]
-        d = {"type": tag}
-        if isinstance(s, ConvSpec):
-            d.update(filters=s.filters, kernel=s.kernel, stride=s.stride, pad=s.pad)
-        elif isinstance(s, PoolSpec):
-            d.update(mode=s.mode, size=s.size, stride=s.stride)
-        elif isinstance(s, FCSpec):
-            d.update(units=s.units)
-        layers.append(d)
+    layers = [{"type": _SPEC_KINDS[type(s)], **asdict(s)} for s in spec.layers]
     return {"version": NET_FORMAT_VERSION, "input_shape": list(spec.input_shape),
             "layers": layers}
 
@@ -573,7 +561,3 @@ def read_net(path) -> Tuple[NetModel, dict]:
             p[...] = np.frombuffer(raw, dtype="<f8", count=p.size, offset=off).reshape(p.shape)
             off += p.size * 8
     return model, manifest
-
-
-def load_net(path) -> NetModel:
-    return read_net(path)[0]

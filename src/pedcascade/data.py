@@ -62,6 +62,10 @@ class LabelingPolicy:
             raise ValueError(f"bad positive_source {self.positive_source!r}")
         if self.positive_source == "gt+proposals" and self.pos_iou is None:
             raise ValueError("gt+proposals requires pos_iou")
+        for name in ("pos_iou", "neg_iou"):
+            v = getattr(self, name)
+            if v is not None and not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be in [0,1]")
         if self.pos_iou is not None and self.neg_iou > self.pos_iou:
             raise ValueError("neg_iou must be <= pos_iou")
         if self.neg_source not in ("proposals", "random"):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class Box:
 class Detection:
     box: Box
     score: float
-    source_id: Optional[object] = None
 
     def __post_init__(self):
         if not math.isfinite(self.score):
@@ -66,10 +65,6 @@ class MatchResult:
     unmatched_detections: List[int] = field(default_factory=list)
     unmatched_gt: List[int] = field(default_factory=list)
     ignored_detections: List[int] = field(default_factory=list)
-
-    @property
-    def matched_detection_indices(self) -> List[int]:
-        return [d for d, _ in self.pairs]
 
 
 def iou(a: Box, b: Box) -> float:

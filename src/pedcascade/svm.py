@@ -11,7 +11,6 @@ import numpy as np
 @dataclass(frozen=True)
 class SvmConfig:
     C: float = 1e-3
-    neg_overlap: float = 0.5  # proposals below this IoU with GT become negatives
     feature_layer: str = "fc1"
     iterations: int = 4000
     step_size: float = 1.0
@@ -19,8 +18,6 @@ class SvmConfig:
     def __post_init__(self):
         if self.C <= 0:
             raise ValueError("C must be > 0")
-        if not 0.0 <= self.neg_overlap <= 1.0:
-            raise ValueError("neg_overlap must be in [0,1]")
 
 
 def svm_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, C: float) -> float:
@@ -33,7 +30,7 @@ def train_svm(features: np.ndarray, labels: np.ndarray, cfg: SvmConfig) -> Tuple
 
     Deterministic full-batch sub-gradient descent with a 1/t step schedule
     and Polyak averaging of the iterates.  Negatives are assumed to be
-    pre-filtered by the neg_overlap rule upstream.
+    pre-filtered upstream by the labeling policy's neg_iou.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)

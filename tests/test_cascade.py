@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from pedcascade.cascade import (
     CascadeConfig,
     CascadeError,
     CascadeTrainConfig,
-    CompiledNetRescorer,
     IdentityRescorer,
     NetRescorer,
     SvmRescorer,
@@ -16,14 +17,12 @@ from pedcascade.cascade import (
     save_rescorer,
     train_cascade,
 )
-from pedcascade.channels import compute_channels
 from pedcascade.convnet import (
     NetModel, NetSpec, ConvSpec, PoolSpec, ReLUSpec, FCSpec, SoftmaxSpec, TrainConfig,
     read_net, save_net,
 )
 from pedcascade.data import BatchRatio, BatchSampler
-from pedcascade.forest import detect, filter_proposals, score_window_grid
-from pedcascade.forest2nn import compile_forest
+from pedcascade.forest import detect, filter_proposals
 from pedcascade.geometry import nms
 
 
@@ -66,18 +65,6 @@ class TestTimingReport:
         assert out == {}
         assert report.consistent(0)
         assert report.windows_scored == 0
-
-
-class TestCompiledNetRescorer:
-    def test_matches_forest_score_on_model_window(self, tiny_forest):
-        rng = np.random.default_rng(0)
-        windows = rng.random((6,) + TINY_GEOM.window + (3,))
-        rescorer = CompiledNetRescorer(compile_forest(tiny_forest), TINY_CCFG)
-        got = rescorer(windows, np.zeros(len(windows)))
-        for win, score in zip(windows, got):
-            grid, xs, ys = score_window_grid(tiny_forest, compute_channels(win, TINY_CCFG), 4)
-            assert (xs[0], ys[0]) == (0, 0)
-            assert score == pytest.approx(grid[0, 0], abs=1e-9)
 
 
 class TestSvmRescorer:
@@ -130,13 +117,14 @@ class TestRunCascade:
         def jumble(wins, scores):
             return rng.random(len(scores))
 
-        cfg = base_config(tiny_forest, rescorer=jumble, apply_final_nms=False)
+        # final NMS at IoU 1.0 suppresses nothing: it removes only IoU > threshold
+        cfg = base_config(tiny_forest, rescorer=jumble, final_nms_iou=1.0)
         out, _ = run_cascade(images, cfg)
 
         proposals = [detect(img, tiny_forest, TINY_SLIDING) for _, img in images]
         _, filtered = filter_proposals(proposals, cfg.proposal_filter_avg)
         for (fid, _), dets in zip(images, filtered):
-            assert [d.box for d in out[fid]] == [d.box for d in dets]
+            assert Counter(d.box for d in out[fid]) == Counter(d.box for d in dets)
 
     def test_rescorer_window_shapes(self, tiny_world, tiny_forest):
         images, _ = tiny_world

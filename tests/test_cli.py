@@ -94,6 +94,23 @@ class TestTrainForest:
                     lib_model)
         assert cli_model.read_bytes() == lib_model.read_bytes()
 
+    def test_frames_without_gt_exit_2(self, tmp_path, capsys):
+        from pedcascade.data import FrameAnnotation
+
+        assert run(["--out-dir", tmp_path, "synth", "--frames", "2", "--height", "120",
+                    "--width", "160", "--seed", "5"]) == EXIT_OK
+        ann = tmp_path / "annotations.json"
+        frames = load_annotations(ann, "json")
+        ann.write_text(json.dumps(annotations_to_json([FrameAnnotation(f.frame_id)
+                                                       for f in frames])))
+        model_out = tmp_path / "forest.json"
+        code = run(["--out-dir", tmp_path, "train-forest", "--images", tmp_path / "images",
+                    "--annotations", ann, "--model-out", model_out, "--trees", "2"])
+        assert code == 2 == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(ann) in err and "empty class" in err
+        assert not model_out.exists()
+
 
 class TestEvaluate:
     @staticmethod
@@ -391,6 +408,34 @@ class TestTrainRescorer:
         assert (loaded.feature_layer, loaded.input_mean) == ("fc1", 0.3)
         x = np.stack(windows)
         assert np.array_equal(loaded(x, None), head(x, None))
+
+
+    def test_misspelt_net_key_exits_2(self, tmp_path, rescorer_data, capsys):
+        args, _, _, _ = rescorer_data
+        cfg_path = tmp_path / "net.json"
+        cfg_path.write_text(json.dumps({"version": 1, "net": {"fc_unit": 4}}))
+        net_out = tmp_path / "net.bin"
+        assert run(["--out-dir", tmp_path, "train-net", *args, "--net-out", net_out,
+                    "--config", cfg_path]) == 2 == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(cfg_path) in err and "fc_unit" in err
+        assert not net_out.exists()
+
+    def test_unknown_feature_layer_exits_2(self, tmp_path, rescorer_data, capsys,
+                                           monkeypatch):
+        def no_pool(*a, **k):  # pragma: no cover - must not run
+            raise AssertionError("window pool built for an unknown feature layer")
+
+        monkeypatch.setattr("pedcascade.cli.rescorer_training_pool", no_pool)
+        args, _, _, _ = rescorer_data
+        net_path = tmp_path / "net.bin"
+        save_rescorer(NetRescorer(small_net()), net_path)
+        svm_path = tmp_path / "svm.bin"
+        assert run(["--out-dir", tmp_path, "train-svm", *args, "--net", net_path,
+                    "--svm-out", svm_path, "--feature-layer", "fc9"]) == 2 == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(net_path) in err and "'fc9'" in err
+        assert not svm_path.exists()
 
 
 def _net_file(tmp_path, case, model_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,8 @@ from pedcascade.convnet import (
     TrainConfig,
     TrainingDiverged,
     default_cifarnet,
-    load_net,
     loss_and_grads,
+    read_net,
     save_net,
     sgd_train,
     sigmoid,
@@ -333,7 +335,7 @@ class TestModelUtilities:
         model.training_log.append({"epoch": 0, "lr": 0.1, "mean_loss": 1.0})
         p = tmp_path / "net.bin"
         save_net(model, p)
-        back = load_net(p)
+        back = read_net(p)[0]
         x = rng.normal(size=(2, 3, 32, 16))
         assert np.array_equal(back.scores(x), model.scores(x))
         assert back.training_log == model.training_log
@@ -342,7 +344,7 @@ class TestModelUtilities:
         p = tmp_path / "bad.bin"
         p.write_bytes(b"NOTNET")
         with pytest.raises(ValueError):
-            load_net(p)
+            read_net(p)[0]
 
 
 @pytest.mark.parametrize("cut", ["truncated", "trailing_bytes"])
@@ -353,4 +355,25 @@ def test_load_rejects_wrong_size_naming_the_file(tmp_path, cut):
     raw = p.read_bytes()
     p.write_bytes(raw[:-8] if cut == "truncated" else raw + bytes(8))
     with pytest.raises(ValueError, match=str(p)):
-        load_net(p)
+        read_net(p)[0]
+
+
+def test_net_file_bytes_are_pinned(tmp_path):
+    """The file layout (header spec, tensor order, byte order) is a format:
+    these bytes were written before the layer specs were serialised from
+    their dataclasses, and must not move."""
+    spec = default_cifarnet(input_hw=(32, 16), conv_filters=(8, 8, 16), fc_units=16)
+    p = tmp_path / "net.bin"
+    save_net(NetModel(spec, seed=0), p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "0a5b643f51170f895dcee34f2edde70d0daca18afdcf31019ef7bcf495601da1")
+
+    padded = NetSpec((1, 4, 4), [ConvSpec(2, 3, pad=1), SigmoidSpec(), PoolSpec("mean", 2, 2),
+                                 FCSpec(2), SoftmaxSpec()])
+    assert spec_to_json(padded)["layers"] == [
+        {"type": "conv", "filters": 2, "kernel": 3, "stride": 1, "pad": 1},
+        {"type": "sigmoid"},
+        {"type": "pool", "mode": "mean", "size": 2, "stride": 2},
+        {"type": "fc", "units": 2},
+        {"type": "softmax"},
+    ]

@@ -170,6 +170,12 @@ class TestLabeling:
         with pytest.raises(ValueError):
             LabelingPolicy(positive_source="gt+proposals")
 
+    def test_rejects_bad_overlap(self):
+        with pytest.raises(ValueError):
+            LabelingPolicy(neg_iou=1.5)
+        with pytest.raises(ValueError):
+            LabelingPolicy(positive_source="gt+proposals", pos_iou=1.5)
+
     def test_proposal_promotion(self):
         gt = [Box(0, 0, 10, 10)]
         near = Box(0.5, 0.5, 10, 10)

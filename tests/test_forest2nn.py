@@ -1,10 +1,14 @@
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pedcascade.channels import ChannelConfig, ChannelStack
-from pedcascade.forest import ForestModel, SplitNode, Tree2
+from conftest import TINY_CCFG, TINY_GEOM
+from pedcascade.channels import ChannelConfig, ChannelStack, compute_channels
+from pedcascade.forest import ForestModel, SplitNode, Tree2, score_window_grid
 from pedcascade.forest2nn import (
     EquivalenceError,
     _LEAF_BIASES,
@@ -130,6 +134,19 @@ class TestEquivalence:
             verify_equivalence(model, compile_forest(model), samples=0)
 
 
+class TestCompiledNetOnWindows:
+    def test_matches_forest_score_on_model_window(self, tiny_forest):
+        rng = np.random.default_rng(0)
+        windows = rng.random((6,) + TINY_GEOM.window + (3,))
+        net = compile_forest(tiny_forest)
+        for win in windows:
+            stack = compute_channels(win, TINY_CCFG)
+            score = net.forward(net.pooled_features(stack, [(0, 0)]))[0][0]
+            grid, xs, ys = score_window_grid(tiny_forest, stack, 4)
+            assert (xs[0], ys[0]) == (0, 0)
+            assert score == pytest.approx(grid[0, 0], abs=1e-9)
+
+
 class TestSoften:
     def test_requires_positive_sharpness(self):
         rng = np.random.default_rng(7)
@@ -179,3 +196,14 @@ class TestToNetModel:
         want, _, _ = soft.forward(pooled)
         got = exported.forward(pooled)[0][:, 0]
         assert np.allclose(got, want, atol=1e-9)
+
+
+def test_compile_check_script_smoke(monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_compile_check.py"
+    spec = importlib.util.spec_from_file_location("run_compile_check", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["run_compile_check.py", "--trees", "2",
+                                      "--samples", "200"])
+    script.main()
+    assert "verified on 200 windows: 0 mismatches" in capsys.readouterr().out

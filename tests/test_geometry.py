@@ -226,7 +226,7 @@ class TestMatchDetections:
         ign = [data.draw(boxes) for _ in range(data.draw(st.integers(0, 3)))]
         res = match_detections(dets, gt, ign, 0.5)
         seen = sorted(
-            res.matched_detection_indices + res.unmatched_detections + res.ignored_detections
+            [d for d, _ in res.pairs] + res.unmatched_detections + res.ignored_detections
         )
         assert seen == list(range(n))
         matched_gt = [j for _, j in res.pairs]

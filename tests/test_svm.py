@@ -18,10 +18,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SvmConfig(C=0.0)
 
-    def test_rejects_bad_overlap(self):
-        with pytest.raises(ValueError):
-            SvmConfig(neg_overlap=1.5)
-
 
 class TestObjective:
     def test_closed_form_value(self):
