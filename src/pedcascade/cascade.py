@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import ChannelConfig, ChannelStack, compute_channels
+from .channels import ChannelConfig, compute_channels
 from .convnet import (NetModel, NetSpec, SoftmaxSpec, TrainConfig, default_cifarnet,
                       read_net, save_net, sgd_train)
 from .data import (
@@ -203,8 +203,22 @@ class CascadeTrainConfig:
             raise ValueError(f"bad rescorer_kind {self.rescorer_kind!r}")
 
 
-def _window_stacks(img, boxes, geom, channel_cfg):
-    return [compute_channels(extract_window(img, b, geom), channel_cfg) for b in boxes]
+class _WindowStacks:
+    """Channel stacks of the windows at (image, boxes) pairs, built one at a
+    time as they are iterated; only the consumer keeps any of them."""
+
+    def __init__(self, image_boxes, cfg: CascadeTrainConfig):
+        self.image_boxes = image_boxes
+        self.cfg = cfg
+
+    def __len__(self):
+        return sum(len(boxes) for _, boxes in self.image_boxes)
+
+    def __iter__(self):
+        for img, boxes in self.image_boxes:
+            for b in boxes:
+                yield compute_channels(extract_window(img, b, self.cfg.geometry),
+                                       self.cfg.channel_cfg)
 
 
 def _random_negatives(n, img, ann, geom, cfg: CascadeTrainConfig, rng):
@@ -221,8 +235,10 @@ def forest_training_pool(
     frames: Sequence[FrameAnnotation],
     cfg: CascadeTrainConfig,
     rng: np.random.Generator,
-) -> Tuple[List[ChannelStack], List[ChannelStack]]:
-    """Channel stacks of the forest's positive and negative windows.
+) -> Tuple[_WindowStacks, _WindowStacks]:
+    """Channel stacks of the forest's positive and negative windows, as lazy
+    iterables with a length: the boxes are drawn here, each stack is built
+    when iterated.
 
     Positives are the GT boxes.  Negatives are, per frame,
     cfg.forest_negatives_per_frame random boxes below cfg.policy.neg_iou with
@@ -231,14 +247,14 @@ def forest_training_pool(
     """
     pos, neg = [], []
     for (_, img), ann in zip(images, frames):
-        pos.extend(_window_stacks(img, ann.gt_boxes, cfg.geometry, cfg.channel_cfg))
+        pos.append((img, ann.gt_boxes))
         keep = _random_negatives(cfg.forest_negatives_per_frame, img, ann, cfg.geometry,
                                  cfg, rng)
         keep += jittered_negatives(
             ann.gt_boxes, 3, (img.height, img.width), rng, cfg.policy.neg_iou
         )
-        neg.extend(_window_stacks(img, keep, cfg.geometry, cfg.channel_cfg))
-    return pos, neg
+        neg.append((img, keep))
+    return _WindowStacks(pos, cfg), _WindowStacks(neg, cfg)
 
 
 def train_proposal_forest(

@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -98,14 +98,15 @@ def default_candidate_rects(
 
 
 def compute_feature_matrix(
-    stacks: Sequence[ChannelStack], candidate_rects: Sequence[Tuple[int, Box]]
+    stacks: Iterable[ChannelStack], candidate_rects: Sequence[Tuple[int, Box]]
 ) -> np.ndarray:
-    """(n_windows, n_candidates) matrix of area-normalized rectangle sums."""
+    """(n_windows, n_candidates) matrix of area-normalized rectangle sums.
+
+    Keeps only each stack's row, so a lazy iterable of stacks is never held
+    whole."""
     ch, x, y, w, h = pooling_regions(candidate_rects)
-    out = np.empty((len(stacks), len(candidate_rects)), dtype=np.float64)
-    for i, stack in enumerate(stacks):
-        out[i] = rect_sums(stack.integrals, ch, x, y, w, h) / (w * h)
-    return out
+    rows = [rect_sums(stack.integrals, ch, x, y, w, h) / (w * h) for stack in stacks]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(candidate_rects))
 
 
 def node_decisions(model: ForestModel, integrals: np.ndarray, ox=0, oy=0) -> np.ndarray:
@@ -145,44 +146,64 @@ class _StumpSearch:
     """Shared quantized-threshold search over all candidate features."""
 
     def __init__(self, X: np.ndarray):
-        self.n, self.f = X.shape
+        n, self.f = X.shape
         lo = X.min(axis=0)
         hi = X.max(axis=0)
         k = N_THRESHOLD_QUANTILES
         # k thresholds uniformly spanning each feature's empirical range.
         self.thresholds = lo[None, :] + (hi - lo)[None, :] * (np.arange(k) / (k - 1))[:, None]
-        # bin[i, f] = number of thresholds strictly below X[i, f], in [0, k]
-        bins = np.empty((self.n, self.f), dtype=np.int64)
+        # keys[f, i] = f * (k + 1) + the number of thresholds strictly below
+        # X[i, f]; feature-major, so each histogram bin adds its samples in
+        # ascending order
+        self.size = self.f * (k + 1)  # one histogram of every feature
+        if 4 * self.size > np.iinfo(np.int32).max:
+            raise ValueError(f"too many candidate features for the stump search: {self.f}")
+        self.keys = np.empty((self.f, n), dtype=np.int32)
         for j in range(self.f):
-            bins[:, j] = np.searchsorted(self.thresholds[:, j], X[:, j], side="left")
-        self.keys = bins + np.arange(self.f, dtype=np.int64)[None, :] * (k + 1)
-        self.X = X
+            self.keys[j] = np.searchsorted(self.thresholds[:, j], X[:, j], side="left")
+        self.keys += (np.arange(self.f, dtype=np.int32) * (k + 1))[:, None]
 
-    def best_stump(self, idx: np.ndarray, w: np.ndarray, y: np.ndarray):
-        """Minimum weighted-error stump over samples `idx`.
+    def best_stumps(self, w: np.ndarray, y: np.ndarray,
+                    side: Optional[np.ndarray] = None) -> List[Optional[tuple]]:
+        """Minimum weighted-error stump on each side of a partition of the
+        samples, with weights w and labels y in {+1, -1}.
 
-        Returns (feature, threshold, polarity, error). Polarity +1 predicts
-        positive where the normalized sum exceeds the threshold.
+        `side` is None for one side of all samples, or a boolean array that
+        puts sample i on side int(side[i]).  Returns one (feature, threshold,
+        polarity, error) per side, None for an empty side.  Polarity +1
+        predicts positive where the normalized sum exceeds the threshold.
+        One bincount fills the positive and negative histograms of every
+        side at once.
         """
         k = N_THRESHOLD_QUANTILES
-        keys = self.keys[idx].ravel()
-        rep = self.f
-        wp = np.repeat(w * (y > 0), rep)
-        wn = np.repeat(w * (y < 0), rep)
-        size = self.f * (k + 1)
-        hp = np.bincount(keys, weights=wp, minlength=size).reshape(self.f, k + 1)
-        hn = np.bincount(keys, weights=wn, minlength=size).reshape(self.f, k + 1)
-        cp = np.cumsum(hp, axis=1)[:, :k]  # pos weight with value <= threshold_k
-        cn = np.cumsum(hn, axis=1)[:, :k]
-        p_tot = float(np.sum(w * (y > 0)))
-        n_tot = float(np.sum(w * (y < 0)))
-        err_pos = cp + (n_tot - cn)  # polarity +1: predict + above the threshold
-        err_neg = (p_tot + n_tot) - err_pos
-        if err_pos.min() <= err_neg.min():
-            fi, ki = np.unravel_index(np.argmin(err_pos), err_pos.shape)
-            return int(fi), float(self.thresholds[ki, fi]), +1, float(err_pos[fi, ki])
-        fi, ki = np.unravel_index(np.argmin(err_neg), err_neg.shape)
-        return int(fi), float(self.thresholds[ki, fi]), -1, float(err_neg[fi, ki])
+        n_sides = 1 if side is None else 2
+        group = (y < 0).astype(np.int32)
+        if side is not None:
+            group += 2 * side.astype(np.int32)
+        keys = self.keys + (group * np.int32(self.size))[None, :]
+        hist = np.bincount(keys.ravel(), weights=np.broadcast_to(w, keys.shape).ravel(),
+                           minlength=2 * n_sides * self.size)
+        hist = hist.reshape(n_sides, 2, self.f, k + 1)
+        out: List[Optional[tuple]] = []
+        for s in range(n_sides):
+            mask = slice(None) if side is None else side == bool(s)
+            ws, ys = w[mask], y[mask]
+            if ws.size == 0:
+                out.append(None)
+                continue
+            cp = np.cumsum(hist[s, 0], axis=1)[:, :k]  # pos weight with value <= threshold_k
+            cn = np.cumsum(hist[s, 1], axis=1)[:, :k]
+            p_tot = float(np.sum(ws * (ys > 0)))
+            n_tot = float(np.sum(ws * (ys < 0)))
+            err_pos = cp + (n_tot - cn)  # polarity +1: predict + above the threshold
+            err_neg = (p_tot + n_tot) - err_pos
+            if err_pos.min() <= err_neg.min():
+                err, pol = err_pos, +1
+            else:
+                err, pol = err_neg, -1
+            fi, ki = np.unravel_index(np.argmin(err), err.shape)
+            out.append((int(fi), float(self.thresholds[ki, fi]), pol, float(err[fi, ki])))
+        return out
 
 
 def _tree_decisions(tree_feat, tree_thr, tree_pol, X):
@@ -197,8 +218,8 @@ def _leaf_index(d0, d1, d2):
 
 
 def train_forest(
-    pos_windows: Sequence[ChannelStack],
-    neg_windows: Sequence[ChannelStack],
+    pos_windows: Iterable[ChannelStack],
+    neg_windows: Iterable[ChannelStack],
     n_trees: int,
     candidate_rects: Sequence[Tuple[int, Box]],
     channel_cfg: ChannelConfig,
@@ -210,40 +231,37 @@ def train_forest(
     subset, thresholds searched over 256 uniform quantiles of the feature's
     empirical range; leaf values are the +-1 weighted majority of their
     partition.  A degenerate round (error 0 or >= 1/2) stops training early
-    and flags the returned model.
+    and flags the returned model.  The windows may be lazy iterables: only
+    their feature rows are kept.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    if not pos_windows or not neg_windows:
-        raise ValueError("need at least one positive and one negative window")
     if not candidate_rects:
         raise ValueError("candidate_rects must be non-empty")
 
-    stacks = list(pos_windows) + list(neg_windows)
-    y = np.concatenate([np.ones(len(pos_windows)), -np.ones(len(neg_windows))])
-    X = compute_feature_matrix(stacks, candidate_rects)
+    X_pos = compute_feature_matrix(pos_windows, candidate_rects)
+    X_neg = compute_feature_matrix(neg_windows, candidate_rects)
+    if not len(X_pos) or not len(X_neg):
+        raise ValueError("need at least one positive and one negative window")
+    X = np.concatenate([X_pos, X_neg])
+    y = np.concatenate([np.ones(len(X_pos)), -np.ones(len(X_neg))])
+    del X_pos, X_neg
     search = _StumpSearch(X)
-    n = len(stacks)
+    n = len(X)
     w = np.full(n, 1.0 / n)
-    all_idx = np.arange(n)
 
     trees: List[Tree2] = []
     weights: List[float] = []
     log: List[Dict[str, float]] = []
     early_stop = False
     eps_floor = 1e-12
+    default_child = (0, float(search.thresholds[-1, 0]), +1)
 
     for _ in range(n_trees):
-        f0, t0, p0, _ = search.best_stump(all_idx, w, y)
+        (f0, t0, p0, _), = search.best_stumps(w, y)
         d0 = p0 * (X[:, f0] - t0) > 0
-        side = [all_idx[~d0], all_idx[d0]]
-        children = []
-        for s in side:
-            if s.size > 0:
-                children.append(search.best_stump(s, w[s], y[s])[:3])
-            else:
-                children.append((0, float(search.thresholds[-1, 0]), +1))
-        (f1, t1, p1), (f2, t2, p2) = children
+        (f1, t1, p1), (f2, t2, p2) = (
+            default_child if s is None else s[:3] for s in search.best_stumps(w, y, d0))
 
         feat, thr, pol = (f0, f1, f2), (t0, t1, t2), (p0, p1, p2)
         dd0, dd1, dd2 = _tree_decisions(feat, thr, pol, X)

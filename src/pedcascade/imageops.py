@@ -164,8 +164,18 @@ def centered_gradients(plane: np.ndarray):
 
     Returns (gx, gy) where gx[i,j] = (I[i,j+1] - I[i,j-1]) / 2.
     """
-    padded_x = np.pad(plane, ((0, 0), (1, 1)), mode="edge")
-    padded_y = np.pad(plane, ((1, 1), (0, 0)), mode="edge")
-    gx = (padded_x[:, 2:] - padded_x[:, :-2]) / 2.0
-    gy = (padded_y[2:, :] - padded_y[:-2, :]) / 2.0
+    gx = np.empty(plane.shape, np.result_type(plane, 2.0))
+    gy = np.empty_like(gx)
+    _half_centered_difference(plane, gx)
+    _half_centered_difference(plane.T, gy.T)
     return gx, gy
+
+
+def _half_centered_difference(a: np.ndarray, out: np.ndarray) -> None:
+    """out = centered difference of `a` along its last axis, halved, with the
+    first and last columns replicated; writes no padded copy of `a`."""
+    n = a.shape[-1]
+    np.subtract(a[:, 2:], a[:, :-2], out=out[:, 1:-1])
+    out[:, 0] = a[:, min(1, n - 1)] - a[:, 0]
+    out[:, -1] = a[:, -1] - a[:, max(n - 2, 0)]
+    out /= 2.0

@@ -1,10 +1,13 @@
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import TINY_CCFG, TINY_GEOM, TINY_SLIDING
+from pedcascade import cascade as cascade_module
 from pedcascade.cascade import (
+    _random_negatives,
     CascadeConfig,
     CascadeError,
     CascadeTrainConfig,
@@ -16,13 +19,16 @@ from pedcascade.cascade import (
     run_cascade,
     save_rescorer,
     train_cascade,
+    train_proposal_forest,
 )
+from pedcascade.channels import compute_channels
 from pedcascade.convnet import (
     NetModel, NetSpec, ConvSpec, PoolSpec, ReLUSpec, FCSpec, SoftmaxSpec, TrainConfig,
     read_net, save_net,
 )
-from pedcascade.data import BatchRatio, BatchSampler
-from pedcascade.forest import detect, filter_proposals
+from pedcascade.data import BatchRatio, BatchSampler, extract_window, jittered_negatives
+from pedcascade.forest import (detect, default_candidate_rects, filter_proposals,
+                               forest_to_json, train_forest)
 from pedcascade.geometry import nms
 
 
@@ -222,6 +228,52 @@ class TestTrainCascade:
         from pedcascade.forest import forest_to_json
 
         assert forest_to_json(a.proposal_model) == forest_to_json(b.proposal_model)
+
+
+def eager_forest_pool(images, frames, cfg, rng):
+    """Lists of every forest training window's channel stack, all built up
+    front: the oracle for the streamed forest_training_pool."""
+    pos, neg = [], []
+    for (_, img), ann in zip(images, frames):
+        pos.extend(compute_channels(extract_window(img, b, cfg.geometry), cfg.channel_cfg)
+                   for b in ann.gt_boxes)
+        keep = _random_negatives(cfg.forest_negatives_per_frame, img, ann, cfg.geometry,
+                                 cfg, rng)
+        keep += jittered_negatives(ann.gt_boxes, 3, (img.height, img.width), rng,
+                                   cfg.policy.neg_iou)
+        neg.extend(compute_channels(extract_window(img, b, cfg.geometry), cfg.channel_cfg)
+                   for b in keep)
+    return pos, neg
+
+
+class TestForestPoolStreaming:
+    def test_streams_stacks_and_trains_the_eager_forest(self, tiny_world, monkeypatch):
+        images, frames = tiny_world
+        cfg = CascadeTrainConfig(n_trees=4, sliding=TINY_SLIDING, geometry=TINY_GEOM,
+                                 channel_cfg=TINY_CCFG, forest_negatives_per_frame=6, seed=3)
+        live, peak, built = [0], [0], [0]
+
+        def released():
+            live[0] -= 1
+
+        def tracked(*args, **kwargs):
+            stack = compute_channels(*args, **kwargs)
+            built[0] += 1
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+            weakref.finalize(stack, released)
+            return stack
+
+        monkeypatch.setattr(cascade_module, "compute_channels", tracked)
+        streamed = train_proposal_forest(images, frames, cfg)
+        monkeypatch.undo()
+
+        pos, neg = eager_forest_pool(images, frames, cfg, np.random.default_rng(cfg.seed))
+        assert built[0] == len(pos) + len(neg)
+        assert 1 <= peak[0] <= 2
+        rects = default_candidate_rects(cfg.channel_cfg, cfg.geometry.window)
+        eager = train_forest(pos, neg, cfg.n_trees, rects, cfg.channel_cfg, cfg.geometry.window)
+        assert forest_to_json(streamed) == forest_to_json(eager)
 
 
 class TestRescorerFile:

@@ -141,7 +141,53 @@ class TestEvalTree:
         assert score_window(model, stack, (0, 0)) == pytest.approx(want, abs=1e-12)
 
 
+def two_bincount_best_stump(search: _StumpSearch, idx, w, y):
+    """Minimum weighted-error stump over samples `idx` (weights w and labels
+    y of those samples), from two weighted bincounts over sample-major keys
+    with zero weights for the other class: the oracle for the one-pass
+    _StumpSearch.best_stumps."""
+    k = N_THRESHOLD_QUANTILES
+    keys = search.keys.T.astype(np.int64)[idx].ravel()
+    rep = search.f
+    wp = np.repeat(w * (y > 0), rep)
+    wn = np.repeat(w * (y < 0), rep)
+    size = search.f * (k + 1)
+    hp = np.bincount(keys, weights=wp, minlength=size).reshape(search.f, k + 1)
+    hn = np.bincount(keys, weights=wn, minlength=size).reshape(search.f, k + 1)
+    cp = np.cumsum(hp, axis=1)[:, :k]
+    cn = np.cumsum(hn, axis=1)[:, :k]
+    p_tot = float(np.sum(w * (y > 0)))
+    n_tot = float(np.sum(w * (y < 0)))
+    err_pos = cp + (n_tot - cn)
+    err_neg = (p_tot + n_tot) - err_pos
+    if err_pos.min() <= err_neg.min():
+        fi, ki = np.unravel_index(np.argmin(err_pos), err_pos.shape)
+        return int(fi), float(search.thresholds[ki, fi]), +1, float(err_pos[fi, ki])
+    fi, ki = np.unravel_index(np.argmin(err_neg), err_neg.shape)
+    return int(fi), float(search.thresholds[ki, fi]), -1, float(err_neg[fi, ki])
+
+
 class TestStumpSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), f=st.integers(1, 6),
+           right_share=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    def test_one_pass_matches_two_bincount_oracle(self, seed, n, f, right_share):
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, f))
+        X[:, rng.random(f) < 0.4] = rng.integers(0, 3, (n, 1)) / 3.0  # tied columns
+        X[:, rng.integers(f)] = 0.25  # a constant column
+        y = np.where(rng.random(n) < 0.4, 1.0, -1.0)
+        w = rng.random(n) + 1e-3
+        w /= w.sum()
+        side = rng.random(n) < right_share  # 0.0 and 1.0 leave one side empty
+        search = _StumpSearch(X)
+        assert search.best_stumps(w, y) == [two_bincount_best_stump(search, np.arange(n), w, y)]
+        want = []
+        for s in (False, True):
+            idx = np.flatnonzero(side == s)
+            want.append(two_bincount_best_stump(search, idx, w[idx], y[idx]) if idx.size else None)
+        assert search.best_stumps(w, y, side) == want
+
     def test_agrees_with_exhaustive_search(self):
         rng = np.random.default_rng(2)
         n, f = 60, 7
@@ -150,7 +196,7 @@ class TestStumpSearch:
         w = rng.random(n)
         w /= w.sum()
         search = _StumpSearch(X)
-        fi, thr, pol, err = search.best_stump(np.arange(n), w, y)
+        (fi, thr, pol, err), = search.best_stumps(w, y)
 
         best = np.inf
         k = N_THRESHOLD_QUANTILES
@@ -173,7 +219,9 @@ class TestStumpSearch:
         search = _StumpSearch(X)
         idx = np.arange(0, 40, 2)
         w = np.full(idx.size, 1.0 / idx.size)
-        fi, thr, pol, err = search.best_stump(idx, w, y[idx])
+        side = np.ones(40, dtype=bool)
+        side[idx] = False
+        fi, thr, pol, err = search.best_stumps(np.full(40, 1.0 / idx.size), y, side)[0]
         pred = np.where(pol * (X[idx, fi] - thr) > 0, 1.0, -1.0)
         assert w[pred != y[idx]].sum() == pytest.approx(err, abs=1e-12)
 
@@ -190,6 +238,14 @@ class TestFeatureMatrix:
                 c, r = rects[j]
                 sub = stacks[i].channels[c][int(r.y): int(r.y + r.h), int(r.x): int(r.x + r.w)]
                 assert X[i, j] == pytest.approx(sub.mean(), abs=1e-9)
+
+    def test_lazy_iterable_gives_the_list_rows(self):
+        rng = np.random.default_rng(4)
+        stacks = [random_stack(rng) for _ in range(3)]
+        rects = small_rects()
+        X = compute_feature_matrix(stacks, rects)
+        assert np.array_equal(compute_feature_matrix((s for s in stacks), rects), X)
+        assert compute_feature_matrix(iter([]), rects).shape == (0, len(rects))
 
 
 class TestTrainForest:
@@ -232,6 +288,8 @@ class TestTrainForest:
         pos, _ = make_pool(rng, 5, 5)
         with pytest.raises(ValueError):
             train_forest(pos, [], 4, small_rects(), small_cfg(), WIN)
+        with pytest.raises(ValueError):
+            train_forest(iter([]), iter(pos), 4, small_rects(), small_cfg(), WIN)
 
     def test_perfectly_separable_flags_early_stop(self):
         # one feature already separates: expect a degenerate (zero-error)

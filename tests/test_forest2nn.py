@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import sys
@@ -198,12 +199,40 @@ class TestToNetModel:
         assert np.allclose(got, want, atol=1e-9)
 
 
-def test_compile_check_script_smoke(monkeypatch, capsys):
+def _compile_check_script():
     path = Path(__file__).resolve().parent.parent / "scripts" / "run_compile_check.py"
     spec = importlib.util.spec_from_file_location("run_compile_check", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_compile_check_script_smoke(monkeypatch, capsys):
+    script = _compile_check_script()
     monkeypatch.setattr(sys, "argv", ["run_compile_check.py", "--trees", "2",
                                       "--samples", "200"])
     script.main()
-    assert "verified on 200 windows: 0 mismatches" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "forest: 2 trees (early_stop=False)" in out
+    assert "verified on 200 windows: 0 mismatches" in out
+
+
+def test_compile_check_script_rejects_a_short_forest(monkeypatch, capsys):
+    script = _compile_check_script()
+    train = script.train_proposal_forest
+
+    def one_tree(*args):
+        m = train(*args)
+        return dataclasses.replace(m, trees=m.trees[:1], tree_weights=m.tree_weights[:1],
+                                   early_stop=True)
+
+    monkeypatch.setattr(script, "train_proposal_forest", one_tree)
+    monkeypatch.setattr(sys, "argv", ["run_compile_check.py", "--trees", "2",
+                                      "--samples", "200"])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "forest: 1 trees (early_stop=True)" in captured.out
+    assert "stopped at 1 of 2 trees" in captured.err
+    assert "verified" not in captured.out

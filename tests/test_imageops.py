@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pedcascade.imageops import (
@@ -12,6 +12,16 @@ from pedcascade.imageops import (
     triangle_blur,
     write_pnm,
 )
+
+
+def padded_centered_gradients(plane):
+    """Centered differences over edge-padded copies of the plane: the oracle
+    for the pad-free centered_gradients."""
+    padded_x = np.pad(plane, ((0, 0), (1, 1)), mode="edge")
+    padded_y = np.pad(plane, ((1, 1), (0, 0)), mode="edge")
+    gx = (padded_x[:, 2:] - padded_x[:, :-2]) / 2.0
+    gy = (padded_y[2:, :] - padded_y[:-2, :]) / 2.0
+    return gx, gy
 
 
 def naive_sample(arr, x0, y0, w, h, out_h, out_w):
@@ -215,6 +225,18 @@ class TestBlurAndGradients:
         gx, gy = centered_gradients(3.0 * xx + 2.0 * yy)
         assert np.allclose(gx[:, 1:-1], 3.0)
         assert np.allclose(gy[1:-1, :], 2.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(h=st.integers(1, 40), w=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @example(h=1, w=1, seed=0)
+    @example(h=1, w=40, seed=1)
+    @example(h=40, w=1, seed=2)
+    @example(h=2, w=2, seed=3)
+    def test_gradients_equal_the_padded_oracle(self, h, w, seed):
+        plane = np.random.default_rng(seed).standard_normal((h, w))
+        for got, want in zip(centered_gradients(plane), padded_centered_gradients(plane)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_gradient_borders_use_replication(self):
         plane = np.arange(5.0)[None, :].repeat(3, axis=0)
