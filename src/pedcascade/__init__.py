@@ -59,7 +59,7 @@ from .forest import (
     train_forest,
 )
 from .forest2nn import CompiledNet, compile_forest, soften, to_netmodel, verify_equivalence
-from .geometry import Box, Detection, iou, match_detections, nms
+from .geometry import Box, Detection, iou, iou_matrix, match_detections, nms
 from .imageops import Image, read_pnm, write_pnm
 from .svm import SvmConfig, train_svm
 from .synth import SynthSpec, synth_dataset

@@ -33,7 +33,7 @@ from .forest import (
     filter_proposals,
     train_forest,
 )
-from .geometry import Detection, iou, nms
+from .geometry import Detection, iou_matrix, nms
 from .imageops import Image
 from .svm import SvmConfig, train_svm
 
@@ -226,8 +226,8 @@ def _random_negatives(n, img, ann, geom, cfg: CascadeTrainConfig, rng):
     cfg.policy.neg_iou with every GT box."""
     cand = random_boxes(n, (img.height, img.width), rng, geom,
                         min_height=max(1, int(cfg.sliding.min_height)))
-    return [b for b in cand
-            if max((iou(b, g) for g in ann.gt_boxes), default=0.0) < cfg.policy.neg_iou]
+    best = iou_matrix(cand, ann.gt_boxes).max(axis=1, initial=0.0)
+    return [b for b, o in zip(cand, best) if o < cfg.policy.neg_iou]
 
 
 def forest_training_pool(

@@ -51,7 +51,7 @@ from .evaluate import (
     recall_vs_iou,
     touching_fp_analysis,
 )
-from .forest import SlidingWindowConfig, load_forest, save_forest
+from .forest import OBJECT_EXTENT_RATIO, SlidingWindowConfig, load_forest, save_forest
 from .forest2nn import compile_forest, soften, to_netmodel, verify_equivalence
 from .imageops import Image, read_pnm, write_pnm
 from .manifest import RunManifest
@@ -120,15 +120,17 @@ def _load(loader, path, kind: str):
 
 def _cascade_config(args, threshold: float = 0.0, proposals_avg: float = 3.0) -> CascadeConfig:
     """The cascade `detect` and `bench` run: the --model forest, rescored by
-    the --net rescorer when one is given."""
+    the --net rescorer when one is given, on windows of the net's input size."""
     forest = _load(load_forest, args.model, "forest")
     rescorer = _load(load_rescorer, args.net, "net") if args.net else None
+    hw = rescorer.model.spec.input_shape[-2:] if rescorer else WindowGeometry().window
     return CascadeConfig(
         proposal_model=forest,
         rescorer=rescorer or IdentityRescorer(),
         proposal_filter_avg=proposals_avg,
         score_blend="replace" if rescorer else "none",
         sliding=SlidingWindowConfig(score_threshold=threshold),
+        geometry=WindowGeometry(hw, tuple(n * OBJECT_EXTENT_RATIO for n in hw)),
     )
 
 
@@ -296,25 +298,28 @@ def _cmd_evaluate(args) -> int:
                     [args.dets, args.ann])
     out = _out_dir(args)
     cfg = LamrConfig()
-    if args.metric == "lamr":
-        curve, summary = lamr(dets, frames, cfg)
-    elif args.metric == "ap":
-        curve, summary = average_precision(dets, frames)
-    elif args.metric == "recall":
-        curve = recall_vs_iou(dets, frames)
-        summary = curve.summary
-    elif args.metric == "fp-hist":
-        curve = fp_overlap_histogram(dets, frames)
-        summary = curve.summary
-    elif args.metric == "touching-fp":
-        mr_std, mr_filt, delta = touching_fp_analysis(dets, frames, cfg)
-        print(f"standard {mr_std:.5f} filtered {mr_filt:.5f} delta {delta:.5f}")
-        return EXIT_OK
-    elif args.metric == "heights":
-        curve = height_histogram(frames)
-        summary = curve.summary
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown metric {args.metric}")
+    try:
+        if args.metric == "lamr":
+            curve, summary = lamr(dets, frames, cfg)
+        elif args.metric == "ap":
+            curve, summary = average_precision(dets, frames)
+        elif args.metric == "recall":
+            curve = recall_vs_iou(dets, frames)
+            summary = curve.summary
+        elif args.metric == "fp-hist":
+            curve = fp_overlap_histogram(dets, frames)
+            summary = curve.summary
+        elif args.metric == "touching-fp":
+            mr_std, mr_filt, delta = touching_fp_analysis(dets, frames, cfg)
+            print(f"standard {mr_std:.5f} filtered {mr_filt:.5f} delta {delta:.5f}")
+            return EXIT_OK
+        elif args.metric == "heights":
+            curve = height_histogram(frames)
+            summary = curve.summary
+        else:  # pragma: no cover - argparse restricts choices
+            raise _UsageError(f"unknown metric {args.metric}")
+    except DataError as exc:  # frames without GT, or detections of unknown frames
+        raise DataError(f"--dets {args.dets} against --ann {args.ann}: {exc}") from exc
     csv_path = out / f"{args.metric}.csv"
     csv_path.write_text(curve.to_csv())
     if args.svg:

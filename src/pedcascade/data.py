@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import Box, Detection, iou
+from .geometry import Box, Detection, iou_matrix
 from .imageops import Image, sample_box_bilinear
 
 log = logging.getLogger(__name__)
@@ -251,8 +251,7 @@ def label_proposals(
     Strict inequalities: IoU exactly at a threshold is ignored.
     """
     labels = []
-    for p in proposals:
-        best = max((iou(p, g) for g in gt), default=0.0)
+    for best in iou_matrix(proposals, gt).max(axis=1, initial=0.0):
         if (
             policy.positive_source == "gt+proposals"
             and policy.pos_iou is not None
@@ -310,7 +309,7 @@ def jittered_negatives(
             if bw <= 1 or bh <= 1 or bx + bw > w_img or by + bh > h_img:
                 continue
             cand = Box(bx, by, bw, bh)
-            if max((iou(cand, other) for other in gt), default=0.0) < max_iou:
+            if iou_matrix([cand], gt).max(initial=0.0) < max_iou:
                 out.append(cand)
                 made += 1
     return out

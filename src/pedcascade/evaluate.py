@@ -11,8 +11,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data import FrameAnnotation
-from .geometry import Detection, iou, match_detections
+from .data import DataError, FrameAnnotation
+from .geometry import Detection, iou_matrix, match_detections
 
 
 @dataclass
@@ -65,16 +65,31 @@ class LamrConfig:
     mr_floor: float = 1e-5
 
 
-def _check_frames(dets_by_frame, annotations):
+def _check_frames(dets_by_frame, annotations) -> None:
     if not annotations:
-        raise ValueError("zero frames")
-    ann_by_id = {a.frame_id: a for a in annotations}
-    if len(ann_by_id) != len(annotations):
-        raise ValueError("duplicate frame ids")
-    unknown = set(dets_by_frame) - set(ann_by_id)
+        raise DataError("zero frames")
+    frame_ids = {a.frame_id for a in annotations}
+    if len(frame_ids) != len(annotations):
+        raise DataError("duplicate frame ids")
+    unknown = set(dets_by_frame) - frame_ids
     if unknown:
-        raise ValueError(f"detections reference unknown frames: {sorted(unknown)[:5]}")
-    return ann_by_id
+        raise DataError(f"detections reference unknown frames: {sorted(unknown)[:5]}")
+
+
+def _count_gt(annotations, metric: str) -> int:
+    n_gt = sum(len(a.gt_boxes) for a in annotations)
+    if n_gt == 0:
+        raise DataError(f"zero ground-truth boxes: {metric} undefined")
+    return n_gt
+
+
+def _matched_frames(dets_by_frame, annotations, match_iou: float):
+    """Yields (annotation, its detection list, their MatchResult) for every
+    frame, in annotation order; the frames are checked before the first."""
+    _check_frames(dets_by_frame, annotations)
+    for ann in annotations:
+        dets = list(dets_by_frame.get(ann.frame_id, []))
+        yield ann, dets, match_detections(dets, ann.gt_boxes, ann.ignore_boxes, match_iou)
 
 
 def _classify_all(
@@ -86,19 +101,14 @@ def _classify_all(
 
     Greedy processing by descending score means the classification of a
     detection is unchanged when lower-scored detections are dropped, so
-    score sweeps can reuse this single pass.  Returns (tp_scores, fp_scores,
-    n_gt, n_frames).
+    score sweeps can reuse this single pass.  Returns the sorted
+    (tp_scores, fp_scores).
     """
-    ann_by_id = _check_frames(dets_by_frame, annotations)
     tp_scores, fp_scores = [], []
-    n_gt = 0
-    for ann in annotations:
-        dets = list(dets_by_frame.get(ann.frame_id, []))
-        n_gt += len(ann.gt_boxes)
-        res = match_detections(dets, ann.gt_boxes, ann.ignore_boxes, match_iou)
+    for _, dets, res in _matched_frames(dets_by_frame, annotations, match_iou):
         tp_scores.extend(dets[i].score for i, _ in res.pairs)
         fp_scores.extend(dets[i].score for i in res.unmatched_detections)
-    return np.sort(np.asarray(tp_scores)), np.sort(np.asarray(fp_scores)), n_gt, len(annotations)
+    return np.sort(np.asarray(tp_scores)), np.sort(np.asarray(fp_scores))
 
 
 def lamr(
@@ -111,9 +121,8 @@ def lamr(
     The summary is the geometric mean of the miss rate sampled (as a step
     function) at the reference FPPI points, floored at cfg.mr_floor.
     """
-    tp_s, fp_s, n_gt, n_frames = _classify_all(dets_by_frame, annotations, cfg.match_iou)
-    if n_gt == 0:
-        raise ValueError("zero ground-truth boxes: miss rate undefined")
+    n_gt, n_frames = _count_gt(annotations, "miss rate"), len(annotations)
+    tp_s, fp_s = _classify_all(dets_by_frame, annotations, cfg.match_iou)
 
     thresholds = np.unique(np.concatenate([tp_s, fp_s]))[::-1]
     if thresholds.size == 0:
@@ -148,15 +157,9 @@ def average_precision(
     interp_points: int = 11,
 ) -> Tuple[EvalCurve, float]:
     """11-point interpolated average precision (matching at IoU 0.5)."""
-    ann_by_id = _check_frames(dets_by_frame, annotations)
-    n_gt = sum(len(a.gt_boxes) for a in annotations)
-    if n_gt == 0:
-        raise ValueError("zero ground-truth boxes: AP undefined")
-
+    n_gt = _count_gt(annotations, "AP")
     rows = []  # (score, is_tp)
-    for ann in annotations:
-        dets = list(dets_by_frame.get(ann.frame_id, []))
-        res = match_detections(dets, ann.gt_boxes, ann.ignore_boxes, match_iou)
+    for _, dets, res in _matched_frames(dets_by_frame, annotations, match_iou):
         rows.extend((dets[i].score, 1) for i, _ in res.pairs)
         rows.extend((dets[i].score, 0) for i in res.unmatched_detections)
     rows.sort(key=lambda r: -r[0])
@@ -185,20 +188,12 @@ def recall_vs_iou(
     """Fraction of GT matched by at least one proposal, per IoU threshold."""
     if thresholds is None:
         thresholds = np.linspace(0.5, 1.0, 11)
-    _check_frames(proposals_by_frame, annotations)
-    n_gt = sum(len(a.gt_boxes) for a in annotations)
-    if n_gt == 0:
-        raise ValueError("zero ground-truth boxes: recall undefined")
+    n_gt = _count_gt(annotations, "recall")
     n_props = sum(len(v) for v in proposals_by_frame.values())
-
     recalls = []
     for thr in thresholds:
-        matched = 0
-        for ann in annotations:
-            dets = list(proposals_by_frame.get(ann.frame_id, []))
-            res = match_detections(dets, ann.gt_boxes, ann.ignore_boxes, thr)
-            matched += len(res.pairs)
-        recalls.append(matched / n_gt)
+        matches = _matched_frames(proposals_by_frame, annotations, thr)
+        recalls.append(sum(len(res.pairs) for _, _, res in matches) / n_gt)
     return EvalCurve(
         x=np.asarray(thresholds), y=np.asarray(recalls),
         summary=float(recalls[0]), kind="recall_iou",
@@ -216,15 +211,12 @@ def fp_overlap_histogram(
 
     Bin i covers IoU in (i/n_bins, (i+1)/n_bins]; x holds bin upper edges.
     """
-    _check_frames(dets_by_frame, annotations)
     counts = np.zeros(n_bins)
-    for ann in annotations:
-        dets = list(dets_by_frame.get(ann.frame_id, []))
-        res = match_detections(dets, ann.gt_boxes, ann.ignore_boxes, match_iou)
+    for ann, dets, res in _matched_frames(dets_by_frame, annotations, match_iou):
+        best = iou_matrix([d.box for d in dets], ann.gt_boxes).max(axis=1, initial=0.0)
         for i in res.unmatched_detections:
-            best = max((iou(dets[i].box, g) for g in ann.gt_boxes), default=0.0)
-            if best > 0.0:
-                b = min(int(math.ceil(best * n_bins)) - 1, n_bins - 1)
+            if best[i] > 0.0:
+                b = min(int(math.ceil(best[i] * n_bins)) - 1, n_bins - 1)
                 counts[b] += 1
     edges = (np.arange(n_bins) + 1.0) / n_bins
     return EvalCurve(x=edges, y=counts, summary=float(counts.sum()), kind="histogram")
@@ -240,18 +232,13 @@ def touching_fp_analysis(
 
     Returns (mr_standard, mr_filtered, delta); delta >= 0.
     """
-    ann_by_id = _check_frames(dets_by_frame, annotations)
     _, mr_standard = lamr(dets_by_frame, annotations, cfg)
 
     filtered: Dict[str, List[Detection]] = {}
-    for ann in annotations:
-        dets = list(dets_by_frame.get(ann.frame_id, []))
-        res = match_detections(dets, ann.gt_boxes, ann.ignore_boxes, cfg.match_iou)
-        drop = set()
+    for ann, dets, res in _matched_frames(dets_by_frame, annotations, cfg.match_iou):
         all_ann = list(ann.gt_boxes) + list(ann.ignore_boxes)
-        for i in res.unmatched_detections:
-            if any(iou(dets[i].box, b) > 0.0 for b in all_ann):
-                drop.add(i)
+        touching = iou_matrix([d.box for d in dets], all_ann).max(axis=1, initial=0.0) > 0.0
+        drop = {i for i in res.unmatched_detections if touching[i]}
         filtered[ann.frame_id] = [d for i, d in enumerate(dets) if i not in drop]
     _, mr_filtered = lamr(filtered, annotations, cfg)
     return mr_standard, mr_filtered, mr_standard - mr_filtered

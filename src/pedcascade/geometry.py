@@ -11,7 +11,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle, continuous coordinates, area = w * h."""
+    """Axis-aligned rectangle at (x, y) with extent (w, h), continuous
+    coordinates.  Overlap is measured on its corners (`iou_matrix`)."""
 
     x: float
     y: float
@@ -24,18 +25,8 @@ class Box:
                 raise ValueError(f"non-finite box coordinate: {self}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box must have positive extent: {self}")
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    @property
-    def x2(self) -> float:
-        return self.x + self.w
-
-    @property
-    def y2(self) -> float:
-        return self.y + self.h
+        if (self.x + self.w - self.x) * (self.y + self.h - self.y) <= 0:
+            raise ValueError(f"box extent vanishes at its position: {self}")
 
     @property
     def center(self) -> Tuple[float, float]:
@@ -67,14 +58,35 @@ class MatchResult:
     ignored_detections: List[int] = field(default_factory=list)
 
 
+def _corners(boxes: Sequence[Box]) -> Tuple[np.ndarray, ...]:
+    """(x1, y1, x2, y2, area) arrays of the boxes, area taken from the corners."""
+    x1, y1, w, h = np.array([(b.x, b.y, b.w, b.h) for b in boxes],
+                            dtype=np.float64).reshape(-1, 4).T
+    x2, y2 = x1 + w, y1 + h
+    return x1, y1, x2, y2, (x2 - x1) * (y2 - y1)
+
+
+def _overlap(a, b) -> np.ndarray:
+    """IoU of corner tuples `a` and `b`, broadcast against each other."""
+    (ax1, ay1, ax2, ay2, a_area), (bx1, by1, bx2, by2, b_area) = a, b
+    ix = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    iy = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    return inter / (a_area + b_area - inter)
+
+
+def iou_matrix(a: Sequence[Box], b: Sequence[Box]) -> np.ndarray:
+    """(len(a), len(b)) intersection over union; 0 for disjoint boxes.
+
+    The one overlap kernel: NMS, matching and labelling all read it, so a
+    box's IoU with itself is exactly 1 and the matrix is exactly symmetric.
+    """
+    return _overlap([v[:, None] for v in _corners(a)], _corners(b))
+
+
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes; 0 for disjoint boxes."""
-    ix = min(a.x2, b.x2) - max(a.x, b.x)
-    iy = min(a.y2, b.y2) - max(a.y, b.y)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    return float(iou_matrix([a], [b])[0, 0])
 
 
 def _det_order(dets: Sequence[Detection]) -> List[int]:
@@ -96,23 +108,16 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> List[Detection]:
         raise ValueError(f"iou_threshold must be in [0,1], got {iou_threshold}")
     if not dets:
         return []
-    order = np.array(_det_order(dets), dtype=np.intp)
-    x1 = np.array([d.box.x for d in dets])[order]
-    y1 = np.array([d.box.y for d in dets])[order]
-    x2 = np.array([d.box.x2 for d in dets])[order]
-    y2 = np.array([d.box.y2 for d in dets])[order]
-    area = (x2 - x1) * (y2 - y1)
+    order = _det_order(dets)
+    corners = _corners([dets[i].box for i in order])
 
     kept: List[int] = []
     alive = np.ones(len(order), dtype=bool)
     for k in range(len(order)):
         if not alive[k]:
             continue
-        kept.append(int(order[k]))
-        ix = np.minimum(x2[k], x2) - np.maximum(x1[k], x1)
-        iy = np.minimum(y2[k], y2) - np.maximum(y1[k], y1)
-        inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-        overlap = inter / (area[k] + area - inter)
+        kept.append(order[k])
+        overlap = _overlap([v[k] for v in corners], corners)
         alive &= ~(overlap > iou_threshold)
         alive[k] = False
     return [dets[i] for i in kept]
@@ -132,22 +137,21 @@ def match_detections(
     placed in ignored_detections and counts neither as TP nor FP.
     """
     result = MatchResult()
+    boxes = [d.box for d in dets]
+    to_gt = iou_matrix(boxes, gt).tolist()
+    to_ignore = (iou_matrix(boxes, ignore) >= iou_threshold).any(axis=1)
     gt_taken = [False] * len(gt)
     for i in _det_order(dets):
         best_j = -1
         best_iou = 0.0
-        for j, g in enumerate(gt):
-            if gt_taken[j]:
-                continue
-            o = iou(dets[i].box, g)
-            if o >= iou_threshold and o > best_iou:
+        for j, o in enumerate(to_gt[i]):
+            if not gt_taken[j] and o >= iou_threshold and o > best_iou:
                 best_iou = o
                 best_j = j
         if best_j >= 0:
             gt_taken[best_j] = True
             result.pairs.append((i, best_j))
-            continue
-        if any(iou(dets[i].box, ig) >= iou_threshold for ig in ignore):
+        elif to_ignore[i]:
             result.ignored_detections.append(i)
         else:
             result.unmatched_detections.append(i)

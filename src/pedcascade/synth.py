@@ -9,7 +9,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from .data import FrameAnnotation, BoxMeta
-from .geometry import Box, iou
+from .geometry import Box, iou_matrix
 from .imageops import Image
 
 
@@ -155,7 +155,7 @@ def synth_dataset(spec: SynthSpec, seed: int = 0):
             if pw >= w or ph >= h:
                 continue
             box = Box(float(rng.uniform(0, w - pw)), float(rng.uniform(0, h - ph)), pw, ph)
-            if all(iou(box, other) < 0.1 for other in boxes):
+            if iou_matrix([box], boxes).max(initial=0.0) < 0.1:
                 boxes.append(box)
         for box in boxes:
             _draw_pedestrian(img, box, rng)

@@ -20,7 +20,7 @@ from pedcascade.forest import (
     default_candidate_rects,
     train_forest,
 )
-from pedcascade.geometry import Box, iou
+from pedcascade.geometry import Box, iou_matrix
 from pedcascade.imageops import Image
 
 TINY_GEOM = WindowGeometry(window=(32, 16), pedestrian_extent=(24, 12))
@@ -85,11 +85,9 @@ def tiny_forest(tiny_world):
     for (fid, img), ann in zip(images, frames):
         for b in ann.gt_boxes:
             pos.append(compute_channels(extract_window(img, b, TINY_GEOM), TINY_CCFG))
-        negs = [
-            b
-            for b in random_boxes(8, (img.height, img.width), rng, TINY_GEOM, min_height=18)
-            if max((iou(b, g) for g in ann.gt_boxes), default=0.0) < 0.5
-        ]
+        cand = random_boxes(8, (img.height, img.width), rng, TINY_GEOM, min_height=18)
+        best = iou_matrix(cand, ann.gt_boxes).max(axis=1, initial=0.0)
+        negs = [b for b, o in zip(cand, best) if o < 0.5]
         negs += jittered_negatives(ann.gt_boxes, 6, (img.height, img.width), rng)
         for b in negs:
             neg.append(compute_channels(extract_window(img, b, TINY_GEOM), TINY_CCFG))

@@ -1,5 +1,8 @@
+import importlib.util
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,3 +322,16 @@ def test_default_batch_fits_default_ratio():
     sampler = BatchSampler(windows, labels, TrainConfig().batch, CascadeTrainConfig().ratio)
     x, y = sampler.next_batch()
     assert len(y) == TrainConfig().batch and 6 * int(np.sum(y)) == len(y)
+
+
+def test_synth_cascade_script_smoke(monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_synth_cascade.py"
+    spec = importlib.util.spec_from_file_location("run_synth_cascade", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["run_synth_cascade.py", "--frames", "12",
+                                      "--test-frames", "4", "--trees", "4", "--epochs", "1"])
+    script.main()
+    out = capsys.readouterr().out
+    assert "] proposals: " in out and ", recall@0.5 " in out and ", LAMR " in out
+    assert "] cascade: LAMR " in out

@@ -167,6 +167,37 @@ class TestEvaluate:
         assert run(["--out-dir", tmp_path, "evaluate", "lamr",
                     "--dets", bad, "--ann", bad]) == EXIT_DATA
 
+    @pytest.mark.parametrize("metric, code", [
+        ("lamr", 2), ("ap", 2), ("recall", 2), ("touching-fp", 2), ("fp-hist", 0),
+        ("heights", 0)])
+    def test_frames_without_gt(self, tmp_path, capsys, metric, code):
+        """Metrics over GT exit 2 naming both files; the histograms are empty."""
+        from pedcascade.data import FrameAnnotation
+        from pedcascade.geometry import Box
+
+        ann_path, det_path = tmp_path / "ann.json", tmp_path / "dets.json"
+        ann_path.write_text(json.dumps(annotations_to_json([FrameAnnotation("f0")])))
+        det_path.write_text(json.dumps(detections_to_json(
+            {"f0": [Detection(Box(10, 10, 20, 40), 0.9)]})))
+        assert run(["--out-dir", tmp_path, "evaluate", metric,
+                    "--dets", det_path, "--ann", ann_path]) == code
+        out, err = capsys.readouterr()
+        if code == EXIT_DATA:
+            assert err.startswith("data error:") and "zero ground-truth boxes" in err
+            assert str(det_path) in err and str(ann_path) in err
+        else:
+            assert out.splitlines()[0] == "0.00000"
+
+    @pytest.mark.parametrize("metric", ["lamr", "ap", "recall", "touching-fp", "fp-hist"])
+    def test_detections_of_unknown_frames_exit_2(self, tmp_path, capsys, metric):
+        ann_path, det_path = self.write_fixture(tmp_path)
+        det_path.write_text(json.dumps(detections_to_json({"nope": []})))
+        assert run(["--out-dir", tmp_path, "evaluate", metric,
+                    "--dets", det_path, "--ann", ann_path]) == 2 == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "unknown frames: ['nope']" in err
+        assert str(det_path) in err and str(ann_path) in err
+
 
 class TestDetect:
     def test_smoke_and_corrupt_model(self, tmp_path, tiny_world, tiny_forest, capsys):
@@ -290,9 +321,9 @@ class TestSweep:
 SMALL_NET = {"conv_filters": [2, 2, 3], "conv_kernels": [3, 3, 3], "fc_units": 4}
 
 
-def small_net(seed=3):
-    """A small net on the CLI's 128x64 windows whose scores move with the mean."""
-    spec = default_cifarnet(input_hw=WindowGeometry().window, **SMALL_NET)
+def small_net(seed=3, input_hw=WindowGeometry().window):
+    """A small net, on 128x64 windows by default, whose scores move with the mean."""
+    spec = default_cifarnet(input_hw=input_hw, **SMALL_NET)
     return NetModel(spec, seed=seed, init_sigma=0.3, first_layer_sigma=0.3)
 
 
@@ -311,9 +342,10 @@ def detect_inputs(tmp_path, tiny_world, tiny_forest):
 
 
 class TestDetectNet:
-    """`detect --net` scores exactly what the library rescorer scores."""
+    """`detect --net` scores exactly what the library rescorer scores, on
+    windows of the net's input size with the extent at 3/4 of it."""
 
-    def cli_and_library(self, tmp_path, detect_inputs, rescorer, name):
+    def cli_and_library(self, tmp_path, detect_inputs, rescorer, name, geometry):
         images_dir, model_path, images = detect_inputs
         net_path = tmp_path / f"{name}.bin"
         save_rescorer(rescorer, net_path)
@@ -323,7 +355,7 @@ class TestDetectNet:
                     "--threshold=-1e9"]) == EXIT_OK
         cfg = CascadeConfig(proposal_model=load_forest(model_path), rescorer=rescorer,
                             sliding=SlidingWindowConfig(score_threshold=-1e9),
-                            geometry=WindowGeometry())
+                            geometry=geometry)
         lib, report = run_cascade(images, cfg)
         assert report.windows_scored > 0
         return dets_out.read_text(), json.dumps(detections_to_json(lib), indent=1,
@@ -331,7 +363,16 @@ class TestDetectNet:
 
     @pytest.mark.parametrize("kind", ["net", "svm"])
     def test_detections_equal_run_cascade(self, tmp_path, detect_inputs, capsys, kind):
-        model = small_net()
+        self.check_equal_and_centred(tmp_path, detect_inputs, kind, WindowGeometry())
+
+    @pytest.mark.parametrize("kind", ["net", "svm"])
+    def test_small_window_net_detections_equal_run_cascade(self, tmp_path, detect_inputs,
+                                                           capsys, kind):
+        self.check_equal_and_centred(tmp_path, detect_inputs, kind,
+                                     WindowGeometry((32, 16), (24, 12)))
+
+    def check_equal_and_centred(self, tmp_path, detect_inputs, kind, geometry):
+        model = small_net(input_hw=geometry.window)
         w, b = np.random.default_rng(2).normal(size=4), 0.1
 
         def make(mean):
@@ -339,10 +380,12 @@ class TestDetectNet:
                 return NetRescorer(model, input_mean=mean)
             return SvmRescorer(model, w, b, "fc1", input_mean=mean)
 
-        cli, lib = self.cli_and_library(tmp_path, detect_inputs, make(0.4), "centred")
+        cli, lib = self.cli_and_library(tmp_path, detect_inputs, make(0.4), "centred",
+                                        geometry)
         assert cli == lib
         # the mean reaches the scores: an uncentred rescorer detects otherwise
-        uncentred, _ = self.cli_and_library(tmp_path, detect_inputs, make(0.0), "uncentred")
+        uncentred, _ = self.cli_and_library(tmp_path, detect_inputs, make(0.0), "uncentred",
+                                            geometry)
         assert uncentred != cli
 
 

@@ -13,6 +13,7 @@ from pedcascade.evaluate import (
     touching_fp_analysis,
 )
 from pedcascade.geometry import Box, Detection, iou
+from pedcascade.synth import SynthSpec, synth_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +254,15 @@ class TestRecallVsIou:
         dets, ann = random_instance(rng)
         curve = recall_vs_iou(dets, ann)
         assert np.all(np.diff(curve.y) <= 1e-12)
+
+    def test_ground_truth_as_proposals_recalls_everything(self):
+        """A box overlaps itself at IoU exactly 1, so feeding the GT back
+        recalls every box up to and including the threshold 1.0."""
+        _, ann = synth_dataset(SynthSpec(n_frames=50), seed=0)
+        dets = {a.frame_id: [Detection(b, 1.0) for b in a.gt_boxes] for a in ann}
+        curve = recall_vs_iou(dets, ann)
+        assert curve.x[-1] == 1.0
+        assert curve.y.tolist() == [1.0] * len(curve.x)
 
     def test_meta_reports_proposal_budget(self):
         ann = [FrameAnnotation("f0", [Box(0, 0, 10, 20)]), FrameAnnotation("f1")]

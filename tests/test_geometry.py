@@ -3,20 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pedcascade.geometry import Box, Detection, iou, match_detections, nms
+from conftest import TINY_SLIDING
+from pedcascade import forest
+from pedcascade.geometry import Box, Detection, iou, iou_matrix, match_detections, nms
 
 
 def brute_iou(a: Box, b: Box) -> float:
     """Literal set-intersection on a fine pixel grid is too slow; use the
-    closed form written independently from the library."""
+    closed form written independently from the library, with every area
+    taken from the corners as the library does, so it agrees to the bit."""
+    a_right, a_bottom = a.x + a.w, a.y + a.h
+    b_right, b_bottom = b.x + b.w, b.y + b.h
     left = max(a.x, b.x)
-    right = min(a.x + a.w, b.x + b.w)
+    right = min(a_right, b_right)
     top = max(a.y, b.y)
-    bottom = min(a.y + a.h, b.y + b.h)
+    bottom = min(a_bottom, b_bottom)
     if right <= left or bottom <= top:
         return 0.0
     inter = (right - left) * (bottom - top)
-    union = a.w * a.h + b.w * b.h - inter
+    union = (a_right - a.x) * (a_bottom - a.y) + (b_right - b.x) * (b_bottom - b.y) - inter
     return inter / union
 
 
@@ -87,6 +92,8 @@ class TestBox:
             Box(0, 0, 0, 10)
         with pytest.raises(ValueError):
             Box(0, 0, 5, -1)
+        with pytest.raises(ValueError, match="vanishes"):  # corner area 0: IoU 0/0
+            Box(1e17, 0, 1, 1)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -94,8 +101,6 @@ class TestBox:
 
     def test_derived_coordinates(self):
         b = Box(2, 3, 4, 6)
-        assert b.x2 == 6 and b.y2 == 9
-        assert b.area == 24
         assert b.center == (4.0, 6.0)
 
 
@@ -125,14 +130,21 @@ class TestIou:
 
     @given(a=boxes)
     def test_self_iou_is_one(self, a):
-        assert iou(a, a) == pytest.approx(1.0)
+        assert iou(a, a) == 1.0
+
+    @given(a=st.lists(boxes, max_size=6), b=st.lists(boxes, max_size=6))
+    def test_matrix_is_exactly_symmetric(self, a, b):
+        m = iou_matrix(a, b)
+        assert m.shape == (len(a), len(b))
+        assert np.array_equal(m, iou_matrix(b, a).T)
+        assert [[iou(x, y) for y in b] for x in a] == m.tolist()
 
     def test_matches_reference_on_random_boxes(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             a = Box(rng.uniform(0, 50), rng.uniform(0, 50), rng.uniform(1, 40), rng.uniform(1, 40))
             b = Box(rng.uniform(0, 50), rng.uniform(0, 50), rng.uniform(1, 40), rng.uniform(1, 40))
-            assert iou(a, b) == pytest.approx(brute_iou(a, b), abs=1e-12)
+            assert iou(a, b) == brute_iou(a, b)
 
 
 class TestNms:
@@ -164,6 +176,27 @@ class TestNms:
             dets = random_dets(rng, int(rng.integers(0, 30)))
             thr = float(rng.uniform(0.1, 0.9))
             assert nms(dets, thr) == brute_nms(dets, thr)
+
+    def test_matches_brute_force_on_detector_windows(self, tiny_world, tiny_forest,
+                                                     monkeypatch):
+        """The sliding grid puts window pairs at exactly IoU 0.5 (a one-stride
+        shift across three strides of extent), where a second IoU formula
+        rounds otherwise than the one NMS reads.  The windows above the
+        finest pyramid level keep the quadratic oracle fast."""
+        calls = []
+
+        def spy(dets, thr):
+            calls.append((list(dets), thr))
+            return nms(dets, thr)
+
+        monkeypatch.setattr(forest, "nms", spy)
+        forest.detect(tiny_world[0][0][1], tiny_forest, TINY_SLIDING)
+        ((dets, thr),) = calls
+        finest = min(d.box.h for d in dets)
+        coarse = [d for d in dets if d.box.h > finest]
+        boxes = [d.box for d in coarse]
+        assert np.any(iou_matrix(boxes, boxes) == 0.5)
+        assert nms(coarse, thr) == brute_nms(coarse, thr)
 
     def test_output_scores_descending(self):
         rng = np.random.default_rng(5)
