@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import ChannelConfig, compute_channels
+from .channels import ChannelConfig, compute_channels, region_pitch
 from .convnet import (NetModel, NetSpec, SoftmaxSpec, TrainConfig, default_cifarnet,
                       read_net, save_net, sgd_train)
 from .data import (
@@ -204,12 +204,14 @@ class CascadeTrainConfig:
 
 
 class _WindowStacks:
-    """Channel stacks of the windows at (image, boxes) pairs, built one at a
-    time as they are iterated; only the consumer keeps any of them."""
+    """Channel stacks of the windows at (image, boxes) pairs, integrals at
+    `pitch`, built one at a time as they are iterated; only the consumer
+    keeps any of them."""
 
-    def __init__(self, image_boxes, cfg: CascadeTrainConfig):
+    def __init__(self, image_boxes, cfg: CascadeTrainConfig, pitch: int):
         self.image_boxes = image_boxes
         self.cfg = cfg
+        self.pitch = pitch
 
     def __len__(self):
         return sum(len(boxes) for _, boxes in self.image_boxes)
@@ -218,7 +220,7 @@ class _WindowStacks:
         for img, boxes in self.image_boxes:
             for b in boxes:
                 yield compute_channels(extract_window(img, b, self.cfg.geometry),
-                                       self.cfg.channel_cfg)
+                                       self.cfg.channel_cfg, self.pitch)
 
 
 def _random_negatives(n, img, ann, geom, cfg: CascadeTrainConfig, rng):
@@ -238,7 +240,8 @@ def forest_training_pool(
 ) -> Tuple[_WindowStacks, _WindowStacks]:
     """Channel stacks of the forest's positive and negative windows, as lazy
     iterables with a length: the boxes are drawn here, each stack is built
-    when iterated.
+    when iterated, its integrals at the pitch of the default candidate
+    rectangles that train_proposal_forest fits over.
 
     Positives are the GT boxes.  Negatives are, per frame,
     cfg.forest_negatives_per_frame random boxes below cfg.policy.neg_iou with
@@ -254,7 +257,8 @@ def forest_training_pool(
             ann.gt_boxes, 3, (img.height, img.width), rng, cfg.policy.neg_iou
         )
         neg.append((img, keep))
-    return _WindowStacks(pos, cfg), _WindowStacks(neg, cfg)
+    pitch = region_pitch(default_candidate_rects(cfg.channel_cfg, cfg.geometry.window))
+    return _WindowStacks(pos, cfg, pitch), _WindowStacks(neg, cfg, pitch)
 
 
 def train_proposal_forest(

@@ -53,11 +53,15 @@ class ChannelConfig:
 class ChannelStack:
     """Per-image list of channel planes plus their integral images.
 
-    integrals has shape (n_channels, h+1, w+1) with a zero first row and
-    column per channel, so that a rectangle sum needs exactly four reads.
+    integrals has shape (n_channels, h//pitch+1, w//pitch+1) with a zero
+    first row and column per channel, so that a rectangle sum needs exactly
+    four reads.  Its corner (i, j) is the sum over the first i*pitch rows and
+    j*pitch columns, so it reads only rectangles whose coordinates are
+    multiples of the pitch, in those coordinates divided by the pitch.
     """
 
     channels: List[np.ndarray]
+    pitch: int = 1
     integrals: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -67,7 +71,7 @@ class ChannelStack:
         for c in self.channels:
             if c.shape != (h, w):
                 raise ValueError("channel dimension mismatch")
-        self.integrals = integral_image(self.channels)
+        self.integrals = integral_image(self.channels, self.pitch)
 
     @property
     def height(self) -> int:
@@ -82,22 +86,33 @@ class ChannelStack:
         return len(self.channels)
 
 
-def integral_image(planes) -> np.ndarray:
-    """Integral images, (..., h+1, w+1) with a zero first row and column, of
-    a (..., h, w) array or of a list of equal-shape (h, w) planes.
+def integral_image(planes, pitch: int = 1) -> np.ndarray:
+    """Integral images, (..., h//pitch+1, w//pitch+1) with a zero first row
+    and column, of a (..., h, w) array or of a list of equal-shape (h, w)
+    planes: every pitch-th corner of the full integral image, bit for bit.
 
-    Each plane is summed down its columns and then along its rows, in place
-    in the output, so the planes are never stacked into a copy.
+    Each plane is summed down its columns over all rows, and then along only
+    the rows that end a pitch-high band, in the order of the full integral
+    image; every pitch-th column of those is kept.  At pitch 1 both sums run
+    in place in the output, so the planes are never stacked into a copy.
     """
+    if pitch < 1:
+        raise ValueError(f"integral pitch must be >= 1, got {pitch}")
     if isinstance(planes, np.ndarray):
         lead, planes = planes.shape[:-2], planes.reshape((-1,) + planes.shape[-2:])
     else:
         lead = (len(planes),)
     h, w = planes[0].shape
-    out = np.zeros((*lead, h + 1, w + 1), dtype=np.float64)
-    for plane, ii in zip(planes, out.reshape(-1, h + 1, w + 1)):
-        np.cumsum(plane, axis=0, out=ii[1:, 1:])
-        np.cumsum(ii[1:, 1:], axis=1, out=ii[1:, 1:])
+    hg, wg = h // pitch, w // pitch
+    out = np.zeros((*lead, hg + 1, wg + 1), dtype=np.float64)
+    scratch = None if pitch == 1 else np.empty((h, w), dtype=np.float64)
+    for plane, ii in zip(planes, out.reshape(-1, hg + 1, wg + 1)):
+        cols = ii[1:, 1:] if scratch is None else scratch
+        np.cumsum(plane, axis=0, out=cols)
+        rows = cols[pitch - 1::pitch]
+        np.cumsum(rows, axis=1, out=rows)
+        if scratch is not None:
+            ii[1:, 1:] = rows[:, pitch - 1::pitch]
     return out
 
 
@@ -173,8 +188,9 @@ def gradient_channels(luminance: np.ndarray, n_bins: int):
     return mag, [oriented[..., k] for k in range(n_bins)]
 
 
-def compute_channels(img: Union[Image, np.ndarray], cfg: ChannelConfig) -> ChannelStack:
-    """Compute the channel stack for one image.
+def compute_channels(img: Union[Image, np.ndarray], cfg: ChannelConfig,
+                     pitch: int = 1) -> ChannelStack:
+    """Compute the channel stack for one image, its integrals at `pitch`.
 
     Color kinds require a 3-plane image.  With cfg.pre_blur the finished
     channels are smoothed with a radius-1 triangle filter (linear, so the
@@ -207,7 +223,7 @@ def compute_channels(img: Union[Image, np.ndarray], cfg: ChannelConfig) -> Chann
     planes = [np.ascontiguousarray(p, dtype=np.float64) for p in planes]
     if cfg.pre_blur:
         planes = [triangle_blur(p) for p in planes]
-    return ChannelStack(planes)
+    return ChannelStack(planes, pitch)
 
 
 def pooling_regions(regions: Sequence[Tuple[int, Box]]) -> Tuple[np.ndarray, ...]:
@@ -219,9 +235,26 @@ def pooling_regions(regions: Sequence[Tuple[int, Box]]) -> Tuple[np.ndarray, ...
     return tuple(a.T)
 
 
+def region_pitch(regions: Sequence[Tuple[int, Box]], *extra: int) -> int:
+    """The largest integral pitch that reads every (channel, Box) pooling
+    region: the gcd of their x, y, w and h, as pooling_regions rounds them,
+    and of any extra integers, such as a window stride."""
+    _, *coords = pooling_regions(regions)
+    return int(np.gcd.reduce(np.concatenate([np.asarray(extra, dtype=np.intp), *coords])))
+
+
+def on_pitch(pitch: int, *coords):
+    """Integer coordinates, or arrays of them, divided by an integral pitch;
+    ValueError unless each is a multiple of it."""
+    if any(np.any(np.asarray(c) % pitch) for c in coords):
+        raise ValueError(f"coordinates are not multiples of the integral pitch {pitch}")
+    return tuple(c // pitch for c in coords)
+
+
 def rect_sums(integrals: np.ndarray, channel, x, y, w, h, ox=0, oy=0):
     """Rectangle sums over an integral array whose leading axes are
-    (C, H+1, W+1).
+    (C, H+1, W+1), in that array's corner units (pixels divided by its
+    pitch, see on_pitch).
 
     Rectangle (x, y, w, h) of plane `channel` is read at window origin
     (ox, oy).  All arguments after `integrals` are integers or integer arrays
@@ -256,4 +289,4 @@ def rect_sum(stack: ChannelStack, channel: int, r: Box) -> float:
         raise ValueError(f"rectangle must be integer-aligned: {r}")
     if xi < 0 or yi < 0 or xi + wi > stack.width or yi + hi > stack.height:
         raise ValueError(f"rectangle out of bounds: {r}")
-    return float(rect_sums(stack.integrals, channel, xi, yi, wi, hi))
+    return float(rect_sums(stack.integrals, channel, *on_pitch(stack.pitch, xi, yi, wi, hi)))

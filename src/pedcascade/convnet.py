@@ -141,7 +141,9 @@ def default_cifarnet(
 
 
 # ---------------------------------------------------------------------------
-# runtime layers
+# runtime layers: forward keeps in `_cache` what backward needs, and
+# backward(dout, need_dx=True) returns (dx, parameter gradients), with dx None
+# when need_dx is false
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     n, c, h, w = x.shape
@@ -186,12 +188,14 @@ class ConvLayer:
         out = np.matmul(wm[None], cols) + self.b[None, :, None]
         return out.reshape(x.shape[0], self.spec.filters, oh, ow)
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         x_shape, cols, oh, ow = self._cache
         k, s, p = self.spec.kernel, self.spec.stride, self.spec.padding
         dflat = dout.reshape(dout.shape[0], self.spec.filters, -1)
         dW = np.matmul(dflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.W.shape)
         db = dflat.sum(axis=(0, 2))
+        if not need_dx:
+            return None, [dW, db]
         wm = self.W.reshape(self.spec.filters, -1)
         dcols = np.matmul(wm.T[None], dflat)
         dx = _col2im(dcols, x_shape, k, s, p, oh, ow)
@@ -217,8 +221,10 @@ class PoolLayer:
             self._cache = (x.shape, None, oh, ow)
         return out.reshape(n, c, oh, ow)
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         x_shape, idx, oh, ow = self._cache
+        if not need_dx:
+            return None, []
         k, s = self.spec.size, self.spec.stride
         n, c = x_shape[0], x_shape[1]
         dflat = dout.reshape(n, c, oh * ow)
@@ -236,11 +242,11 @@ class ReLULayer:
         self.params = []
 
     def forward(self, x):
-        self._mask = x > 0
-        return x * self._mask
+        self._cache = x > 0
+        return x * self._cache
 
-    def backward(self, dout):
-        return dout * self._mask, []
+    def backward(self, dout, need_dx=True):
+        return (dout * self._cache if need_dx else None), []
 
 
 class SigmoidLayer:
@@ -248,11 +254,12 @@ class SigmoidLayer:
         self.params = []
 
     def forward(self, x):
-        self._out = sigmoid(x)
-        return self._out
+        self._cache = sigmoid(x)
+        return self._cache
 
-    def backward(self, dout):
-        return dout * self._out * (1.0 - self._out), []
+    def backward(self, dout, need_dx=True):
+        out = self._cache
+        return (dout * out * (1.0 - out) if need_dx else None), []
 
 
 class FCLayer:
@@ -266,15 +273,15 @@ class FCLayer:
         return [self.W, self.b]
 
     def forward(self, x):
-        self._in_shape = x.shape
         flat = x.reshape(x.shape[0], -1)
-        self._x = flat
+        self._cache = (x.shape, flat)
         return flat @ self.W.T + self.b
 
-    def backward(self, dout):
-        dW = dout.T @ self._x
+    def backward(self, dout, need_dx=True):
+        in_shape, flat = self._cache
+        dW = dout.T @ flat
         db = dout.sum(axis=0)
-        dx = (dout @ self.W).reshape(self._in_shape)
+        dx = (dout @ self.W).reshape(in_shape) if need_dx else None
         return dx, [dW, db]
 
 
@@ -285,7 +292,7 @@ class SoftmaxLayer:
     def forward(self, x):
         return softmax(x)
 
-    def backward(self, dout):  # pragma: no cover - loss bypasses the softmax layer
+    def backward(self, dout, need_dx=True):  # pragma: no cover - loss bypasses it
         raise NotImplementedError("train through loss_and_grads, not the softmax layer")
 
 
@@ -445,7 +452,8 @@ def loss_and_grads(model: NetModel, x: np.ndarray, labels: np.ndarray,
     grads: Dict[int, list] = {}
     dout = dlogits
     for i in range(len(model.layers) - 2, -1, -1):
-        dout, g = model.layers[i].backward(dout)
+        # the first layer's input gradient is never read, so it is not built
+        dout, g = model.layers[i].backward(dout, i > 0)
         if g:
             grads[i] = g
 
@@ -485,6 +493,9 @@ def sgd_train(model: NetModel, sampler, cfg: TrainConfig) -> NetModel:
         model.training_log.append(
             {"epoch": epoch, "lr": lr, "mean_loss": float(np.mean(losses))}
         )
+    # the last batch's activations: tens of MB that a trained model never reads
+    for layer in model.layers:
+        layer._cache = None
     return model
 
 

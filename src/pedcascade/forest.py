@@ -7,12 +7,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channels import ChannelConfig, ChannelStack, compute_channels, pooling_regions, rect_sums
+from .channels import (ChannelConfig, ChannelStack, compute_channels, on_pitch, pooling_regions,
+                       rect_sums, region_pitch)
 from .geometry import Box, Detection, nms
 from .imageops import Image, bilinear_resize
 
@@ -97,37 +98,83 @@ def default_candidate_rects(
     return [(c, r) for c in range(channel_cfg.n_channels) for r in rects]
 
 
+def _sized(items: Iterable) -> Sequence:
+    return items if hasattr(items, "__len__") else list(items)
+
+
 def compute_feature_matrix(
-    stacks: Iterable[ChannelStack], candidate_rects: Sequence[Tuple[int, Box]]
+    stacks: Iterable[ChannelStack], candidate_rects: Sequence[Tuple[int, Box]],
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """(n_windows, n_candidates) matrix of area-normalized rectangle sums.
+    """(n_windows, n_candidates) matrix of area-normalized rectangle sums,
+    each stack read at its integral pitch.
 
-    Keeps only each stack's row, so a lazy iterable of stacks is never held
-    whole."""
+    The rows are written into `out` when given, one per stack, else into a
+    new array; only each stack's row is kept, so a lazy iterable with a
+    length is never held whole (one without a length is listed first)."""
+    if out is None:
+        stacks = _sized(stacks)
+        out = np.empty((len(stacks), len(candidate_rects)))
     ch, x, y, w, h = pooling_regions(candidate_rects)
-    rows = [rect_sums(stack.integrals, ch, x, y, w, h) / (w * h) for stack in stacks]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), len(candidate_rects))
+    area = w * h
+    at_pitch = {}
+    n = 0
+    for n, stack in enumerate(stacks, 1):
+        if stack.pitch not in at_pitch:
+            at_pitch[stack.pitch] = on_pitch(stack.pitch, x, y, w, h)
+        np.divide(rect_sums(stack.integrals, ch, *at_pitch[stack.pitch]), area, out=out[n - 1])
+    if n != len(out):
+        raise ValueError(f"{n} windows for {len(out)} feature rows")
+    return out
 
 
-def node_decisions(model: ForestModel, integrals: np.ndarray, ox=0, oy=0) -> np.ndarray:
-    """Decisions of all 3T split nodes (root, left, right of each tree in
-    order) for windows at origins (ox, oy), in one pooling-kernel call.
+def _split_node_list(model: ForestModel) -> List[SplitNode]:
+    return [n for t in model.trees for n in (t.root, t.left_child, t.right_child)]
+
+
+class SplitNodes(NamedTuple):
+    """The 3T split nodes of a forest (root, left, right of each tree in
+    order) as arrays: pooling regions in corner units of integrals at
+    `pitch`, and float64 pixel areas, thresholds and polarities."""
+
+    pitch: int
+    channel: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    area: np.ndarray
+    threshold: np.ndarray
+    polarity: np.ndarray
+
+
+def split_nodes(model: ForestModel, pitch: int = 1) -> SplitNodes:
+    """The model's split nodes read at integral pitch `pitch`; ValueError
+    unless every split rectangle's coordinates are multiples of it."""
+    nodes = _split_node_list(model)
+    ch, x, y, w, h = pooling_regions([(n.channel, n.rect) for n in nodes])
+    area, thr, pol = (np.array(v, dtype=np.float64) for v in (
+        w * h, [n.threshold for n in nodes], [n.polarity for n in nodes]))
+    return SplitNodes(pitch, ch, *on_pitch(pitch, x, y, w, h), area, thr, pol)
+
+
+def node_decisions(nodes: SplitNodes, integrals: np.ndarray, ox=0, oy=0) -> np.ndarray:
+    """Decisions of all split nodes for windows at origins (ox, oy), in one
+    pooling-kernel call over integrals at the nodes' pitch (origins in its
+    corner units).
 
     ox and oy broadcast together, and trailing axes of `integrals` (a
     window-grid view) follow theirs; the result is boolean with shape
     (3T,) + their broadcast shape + those trailing axes.
     """
-    nodes = [n for t in model.trees for n in (t.root, t.left_child, t.right_child)]
-    regions = pooling_regions([(n.channel, n.rect) for n in nodes])
     origin_axes = (1,) * np.broadcast(ox, oy).ndim
+    regions = (nodes.channel, nodes.x, nodes.y, nodes.w, nodes.h)
     f = rect_sums(integrals, *(a.reshape((-1,) + origin_axes) for a in regions), ox, oy)
     shape = (-1,) + (1,) * (f.ndim - 1)
-    area, thr, pol = (np.array(v, dtype=np.float64).reshape(shape) for v in (
-        regions[3] * regions[4], [n.threshold for n in nodes], [n.polarity for n in nodes]))
     # in place, the node rule polarity * (sum / area - threshold) > 0
-    f /= area
-    f -= thr
-    f *= pol
+    f /= nodes.area.reshape(shape)
+    f -= nodes.threshold.reshape(shape)
+    f *= nodes.polarity.reshape(shape)
     return f > 0
 
 
@@ -239,13 +286,14 @@ def train_forest(
     if not candidate_rects:
         raise ValueError("candidate_rects must be non-empty")
 
-    X_pos = compute_feature_matrix(pos_windows, candidate_rects)
-    X_neg = compute_feature_matrix(neg_windows, candidate_rects)
-    if not len(X_pos) or not len(X_neg):
+    pos_windows, neg_windows = _sized(pos_windows), _sized(neg_windows)
+    n_pos, n_neg = len(pos_windows), len(neg_windows)
+    if not n_pos or not n_neg:
         raise ValueError("need at least one positive and one negative window")
-    X = np.concatenate([X_pos, X_neg])
-    y = np.concatenate([np.ones(len(X_pos)), -np.ones(len(X_neg))])
-    del X_pos, X_neg
+    X = np.empty((n_pos + n_neg, len(candidate_rects)))
+    compute_feature_matrix(pos_windows, candidate_rects, X[:n_pos])
+    compute_feature_matrix(neg_windows, candidate_rects, X[n_pos:])
+    y = np.concatenate([np.ones(n_pos), -np.ones(n_neg)])
     search = _StumpSearch(X)
     n = len(X)
     w = np.full(n, 1.0 / n)
@@ -314,21 +362,33 @@ def train_forest(
 
 
 def score_window_grid(
-    model: ForestModel, stack: ChannelStack, stride: int
+    model: ForestModel, stack: ChannelStack, stride: int, nodes: Optional[SplitNodes] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forest scores for every stride-aligned model window in the stack.
 
-    Returns (scores[ny, nx], xs, ys) with window origins (xs[j], ys[i]).
+    Returns (scores[ny, nx], xs, ys) with window origins (xs[j], ys[i]) in
+    pixels.  The stack's integrals are read at their pitch, which must
+    divide the stride and every split rectangle's coordinates (ValueError
+    otherwise); `nodes`, split_nodes of the model at that pitch, spares
+    rebuilding them on every call.
     """
+    g = stack.pitch
+    if stride % g:
+        raise ValueError(f"stride {stride} is not a multiple of the integral pitch {g}")
+    if nodes is None:
+        nodes = split_nodes(model, g)
+    elif nodes.pitch != g:
+        raise ValueError(f"split nodes at pitch {nodes.pitch} for integrals at pitch {g}")
     win_h, win_w = model.model_window
     xs = np.arange(0, stack.width - win_w + 1, stride, dtype=np.intp)
     ys = np.arange(0, stack.height - win_h + 1, stride, dtype=np.intp)
     if xs.size == 0 or ys.size == 0:
         return np.zeros((0, 0)), xs, ys
-    # grid[c, y, x, i, j] = integrals[c, y + i*stride, x + j*stride]
-    span = ((ys.size - 1) * stride + 1, (xs.size - 1) * stride + 1)
-    grid = sliding_window_view(stack.integrals, span, axis=(1, 2))[..., ::stride, ::stride]
-    scores = forest_scores(model, node_decisions(model, grid))
+    # grid[c, y, x, i, j] = integrals[c, y + i*s, x + j*s], in corner units
+    s = stride // g
+    span = ((ys.size - 1) * s + 1, (xs.size - 1) * s + 1)
+    grid = sliding_window_view(stack.integrals, span, axis=(1, 2))[..., ::s, ::s]
+    scores = forest_scores(model, node_decisions(nodes, grid))
     return scores, xs, ys
 
 
@@ -353,9 +413,14 @@ def detect(
 
     Reported boxes are the object extent (central 3/4 of the model window)
     mapped back to original image coordinates.  Returns [] when the image is
-    too small for even the coarsest scale.
+    too small for even the coarsest scale.  Integrals are built and read at
+    the largest pitch that divides the stride and every split rectangle's
+    coordinates (1 for a forest off that grid); the scores do not depend on
+    it.
     """
     arr = img.data if isinstance(img, Image) else np.asarray(img, dtype=np.float64)
+    pitch = region_pitch([(n.channel, n.rect) for n in _split_node_list(model)], cfg.stride)
+    nodes = split_nodes(model, pitch)
     win_h, win_w = model.model_window
     margin_x = win_w * (1.0 - OBJECT_EXTENT_RATIO) / 2.0
     margin_y = win_h * (1.0 - OBJECT_EXTENT_RATIO) / 2.0
@@ -366,8 +431,8 @@ def detect(
             scaled = arr
         else:
             scaled = bilinear_resize(arr, int(round(arr.shape[0] * r)), int(round(arr.shape[1] * r)))
-        stack = compute_channels(scaled, model.channel_cfg)
-        scores, xs, ys = score_window_grid(model, stack, cfg.stride)
+        stack = compute_channels(scaled, model.channel_cfg, pitch)
+        scores, xs, ys = score_window_grid(model, stack, cfg.stride, nodes)
         keep_i, keep_j = np.nonzero(scores > cfg.score_threshold)
         for i, j in zip(keep_i, keep_j):
             x = (xs[j] + margin_x) / r
@@ -490,8 +555,7 @@ def forest_from_json(d: dict) -> ForestModel:
     )
     # every split must pool inside the model window, as scoring reads it
     win_h, win_w = model.model_window
-    ch, x, y, w, h = pooling_regions(
-        [(n.channel, n.rect) for t in trees for n in (t.root, t.left_child, t.right_child)])
+    ch, x, y, w, h = pooling_regions([(n.channel, n.rect) for n in _split_node_list(model)])
     if (ch.min() < 0 or ch.max() >= cfg.n_channels or x.min() < 0 or y.min() < 0
             or (x + w).max() > win_w or (y + h).max() > win_h):
         raise ValueError(f"a split rectangle lies outside the {win_h}x{win_w} model window "

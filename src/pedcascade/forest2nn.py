@@ -11,7 +11,7 @@ import numpy as np
 
 from .channels import ChannelStack, pooling_regions, rect_sums
 from .convnet import FCSpec, NetModel, NetSpec, SigmoidSpec, sigmoid
-from .forest import ForestModel, forest_scores, node_decisions
+from .forest import ForestModel, forest_scores, node_decisions, split_nodes
 from .geometry import Box
 
 
@@ -75,7 +75,8 @@ class CompiledNet:
         return scores, z1, z2
 
     def pooled_features(self, stack: ChannelStack, origins: Sequence[Tuple[int, int]]) -> np.ndarray:
-        """(n_origins, F) area-normalized pooling sums for window origins."""
+        """(n_origins, F) area-normalized pooling sums for window origins,
+        on a stack at integral pitch 1."""
         ch, x, y, w, h = pooling_regions(self.features)
         o = np.asarray(origins, dtype=np.intp).reshape(-1, 2)
         return rect_sums(stack.integrals, ch, x, y, w, h, o[:, :1], o[:, 1:]) / (w * h)
@@ -153,7 +154,7 @@ def verify_equivalence(
     ox = rng.integers(0, w - win_w + 1, size=samples)
     oy = rng.integers(0, h - win_h + 1, size=samples)
 
-    forest_dec = node_decisions(model, stack.integrals, ox, oy)
+    forest_dec = node_decisions(split_nodes(model), stack.integrals, ox, oy)
     forest_score = forest_scores(model, forest_dec)
     net_scores, z1, _ = net.forward(net.pooled_features(stack, np.column_stack((ox, oy))))
     hard = math.isinf(net.sharpness)

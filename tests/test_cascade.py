@@ -279,6 +279,21 @@ class TestForestPoolStreaming:
         assert forest_to_json(streamed) == forest_to_json(eager)
 
 
+    def test_pool_stacks_are_built_at_the_rectangles_pitch(self, tiny_world, monkeypatch):
+        images, frames = tiny_world
+        cfg = CascadeTrainConfig(n_trees=2, sliding=TINY_SLIDING, geometry=TINY_GEOM,
+                                 channel_cfg=TINY_CCFG, forest_negatives_per_frame=2, seed=3)
+        pitches = Counter()
+
+        def recording(img, ccfg, pitch=1):
+            pitches[pitch] += 1
+            return compute_channels(img, ccfg, pitch)
+
+        monkeypatch.setattr(cascade_module, "compute_channels", recording)
+        train_proposal_forest(images, frames, cfg)
+        assert list(pitches) == [8] and pitches[8] > len(frames)
+
+
 class TestRescorerFile:
     @staticmethod
     def model():

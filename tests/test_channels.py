@@ -66,6 +66,47 @@ class TestIntegralImage:
         assert ii[-1, -1] == pytest.approx(plane.sum(), abs=1e-9)
 
 
+class TestPitchedIntegral:
+    @given(
+        planes=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=27),
+            elements=st.floats(-1e6, 1e6),
+        ),
+        pitch=st.integers(1, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_is_every_pitch_th_corner_of_the_full_integral(self, planes, pitch):
+        full = integral_image(planes)
+        got = integral_image(planes, pitch)
+        assert got.shape == planes.shape[:1] + (planes.shape[1] // pitch + 1,
+                                                planes.shape[2] // pitch + 1)
+        assert np.array_equal(got, full[..., ::pitch, ::pitch])
+        assert np.array_equal(integral_image(list(planes), pitch), got)
+
+    @pytest.mark.parametrize("shape", [(1, 17), (17, 1), (1, 1), (5, 3), (16, 24), (23, 9)])
+    @pytest.mark.parametrize("pitch", [2, 4, 8])
+    def test_single_rows_columns_and_remainders(self, shape, pitch):
+        plane = np.random.default_rng(sum(shape) + pitch).random(shape) * 1e3
+        assert np.array_equal(integral_image(plane, pitch), integral_image(plane)[::pitch, ::pitch])
+
+    def test_rejects_pitch_below_one(self):
+        with pytest.raises(ValueError, match="pitch"):
+            integral_image(np.ones((4, 4)), 0)
+
+    def test_stack_carries_its_pitch(self):
+        rng = np.random.default_rng(11)
+        img = rand_rgb(rng, 37, 26)
+        one = compute_channels(img, ChannelConfig("G_LUV"))
+        four = compute_channels(img, ChannelConfig("G_LUV"), 4)
+        assert (one.pitch, four.pitch) == (1, 4)
+        assert all(np.array_equal(a, b) for a, b in zip(one.channels, four.channels))
+        assert np.array_equal(four.integrals, one.integrals[:, ::4, ::4])
+        assert rect_sum(four, 2, Box(4, 8, 20, 28)) == rect_sum(one, 2, Box(4, 8, 20, 28))
+        with pytest.raises(ValueError, match="pitch"):
+            rect_sum(four, 2, Box(4, 6, 20, 28))
+
+
 class TestRectSum:
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(0)

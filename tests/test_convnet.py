@@ -236,6 +236,62 @@ class TestGradients:
             av = dout.reshape(-1)[i]
             assert abs(nv - av) / max(abs(nv), abs(av), 1e-6) <= 1e-4
 
+    def test_first_layer_skips_its_input_gradient_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        spec = default_cifarnet(input_hw=(32, 16), conv_filters=(4, 4, 4), fc_units=8)
+        model = NetModel(spec, seed=2, init_sigma=0.1, first_layer_sigma=0.1)
+        x = rng.normal(size=(6, 3, 32, 16))
+        labels = np.array([0, 1, 0, 1, 1, 0])
+        loss, grads = loss_and_grads(model, x, labels)
+
+        first, calls = model.layers[0], []
+
+        def full_chain(dout, need_dx=True):
+            calls.append(need_dx)
+            return type(first).backward(first, dout)
+
+        first.backward = full_chain  # the whole chain, dx of the first layer too
+        want_loss, want = loss_and_grads(model, x, labels)
+        assert calls == [False]
+        assert loss == want_loss
+        for got, exp in zip(grads, want):
+            assert all(np.array_equal(a, b) for a, b in zip(got, exp))
+
+    def test_backward_without_dx_keeps_the_parameter_gradients(self):
+        rng = np.random.default_rng(10)
+        spec = NetSpec((2, 9, 7), [ConvSpec(3, 3), PoolSpec("max"), SigmoidSpec(),
+                                   ConvSpec(2, 3), PoolSpec("mean"), ReLUSpec(), FCSpec(4),
+                                   FCSpec(2), SoftmaxSpec()])
+        model = NetModel(spec, seed=5, init_sigma=0.3, first_layer_sigma=0.3)
+        out, _ = model.forward(rng.normal(size=(3, 2, 9, 7)), upto="fc2")
+        dout = rng.normal(size=out.shape)
+        for layer in reversed(model.layers[:-1]):
+            dx, grads = layer.backward(dout)
+            none, same = layer.backward(dout, False)
+            assert none is None
+            assert len(same) == len(grads)
+            assert all(np.array_equal(a, b) for a, b in zip(same, grads))
+            dout = dx
+
+    def test_trained_model_keeps_no_batch_activations(self):
+        rng = np.random.default_rng(11)
+        spec = NetSpec((2, 9, 7), [ConvSpec(3, 3), PoolSpec("max"), SigmoidSpec(), FCSpec(4),
+                                   ReLUSpec(), FCSpec(2), SoftmaxSpec()])
+        model = NetModel(spec, seed=6, init_sigma=0.3, first_layer_sigma=0.3)
+        batch = rng.normal(size=(4, 2, 9, 7)), np.array([0, 1, 1, 0])
+
+        class OneBatch:
+            batches_per_epoch = 1
+
+            def next_batch(self):
+                return batch
+
+        sgd_train(model, OneBatch(), TrainConfig(batch=4, epochs=2, extra_epochs=0))
+        held = [(name, k) for name, layer in zip(model.layer_names, model.layers)
+                for k, v in vars(layer).items() if k not in ("W", "b", "spec", "params")
+                and v is not None]
+        assert held == []
+
 
 class TestLossAndTraining:
     def test_loss_includes_l2_terms(self):

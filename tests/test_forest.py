@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pedcascade.channels import ChannelConfig, ChannelStack
+from conftest import TINY_SLIDING
+from pedcascade import forest as forest_module
+from pedcascade.channels import ChannelConfig, ChannelStack, compute_channels
 from pedcascade.forest import (
     ForestModel,
     N_THRESHOLD_QUANTILES,
@@ -13,6 +17,7 @@ from pedcascade.forest import (
     _StumpSearch,
     compute_feature_matrix,
     default_candidate_rects,
+    detect,
     filter_proposals,
     forest_from_json,
     forest_scores,
@@ -20,6 +25,7 @@ from pedcascade.forest import (
     node_decisions,
     pyramid_ratios,
     score_window_grid,
+    split_nodes,
     train_forest,
 )
 from pedcascade.geometry import Box, Detection
@@ -73,6 +79,22 @@ def random_forest(rng, n_trees, win, n_channels):
 
     trees = [Tree2(node(), node(), node(), tuple(rng.standard_normal(4))) for _ in range(n_trees)]
     return ForestModel(trees, list(rng.random(n_trees)), ChannelConfig("RGB"), win,
+                       score_offset=float(rng.standard_normal()))
+
+
+def aligned_forest(rng, n_trees, cells, pitch, n_channels=3):
+    """A random forest over a window of `cells` (rows, columns) of pitch x
+    pitch pixels whose split rectangles all lie on that grid."""
+    def node():
+        h, w = (int(rng.integers(1, n + 1)) for n in cells)
+        rect = Box(pitch * int(rng.integers(0, cells[1] - w + 1)),
+                   pitch * int(rng.integers(0, cells[0] - h + 1)), pitch * w, pitch * h)
+        return SplitNode(int(rng.integers(0, n_channels)), rect, float(rng.random()),
+                         int(rng.choice([-1, 1])))
+
+    trees = [Tree2(node(), node(), node(), tuple(rng.standard_normal(4))) for _ in range(n_trees)]
+    return ForestModel(trees, list(rng.random(n_trees)), ChannelConfig("RGB"),
+                       (pitch * cells[0], pitch * cells[1]),
                        score_offset=float(rng.standard_normal()))
 
 
@@ -248,6 +270,34 @@ class TestFeatureMatrix:
         assert compute_feature_matrix(iter([]), rects).shape == (0, len(rects))
 
 
+    def test_pitch_8_rows_equal_pitch_1_rows(self):
+        rng = np.random.default_rng(22)
+        cfg = ChannelConfig("G_LUV")
+        rects = default_candidate_rects(cfg)
+        windows = [rng.random((128, 64, 3)) for _ in range(3)]
+        X1 = compute_feature_matrix([compute_channels(w, cfg) for w in windows], rects)
+        X8 = compute_feature_matrix([compute_channels(w, cfg, 8) for w in windows], rects)
+        assert np.array_equal(X8, X1)
+        mixed = [compute_channels(w, cfg, p) for w, p in zip(windows, (8, 1, 4))]
+        assert np.array_equal(compute_feature_matrix(mixed, rects), X1)
+
+    def test_fills_the_given_rows(self):
+        rng = np.random.default_rng(23)
+        stacks = [random_stack(rng) for _ in range(3)]
+        rects = small_rects()
+        out = np.zeros((5, len(rects)))
+        compute_feature_matrix(stacks, rects, out[1:4])
+        assert np.array_equal(out[1:4], compute_feature_matrix(stacks, rects))
+        assert not out[0].any() and not out[4].any()
+        with pytest.raises(ValueError, match="rows"):
+            compute_feature_matrix(stacks[:2], rects, out[:3])
+
+    def test_rejects_a_rectangle_off_the_pitch(self):
+        stack = ChannelStack([np.ones(WIN)], pitch=4)
+        with pytest.raises(ValueError, match="pitch"):
+            compute_feature_matrix([stack], [(0, Box(2, 0, 4, 4))])
+
+
 class TestTrainForest:
     def test_separable_pool_trains_and_separates(self):
         rng = np.random.default_rng(5)
@@ -332,8 +382,42 @@ class TestScoreWindowGrid:
         assert xs.tolist() == list(range(0, extra[1] + 1, stride))
         assert ys.tolist() == list(range(0, extra[0] + 1, stride))
         ox, oy = (o.ravel() for o in np.meshgrid(xs, ys))
-        want = forest_scores(model, node_decisions(model, stack.integrals, ox, oy))
+        want = forest_scores(model, node_decisions(split_nodes(model), stack.integrals, ox, oy))
         assert np.array_equal(scores, want.reshape(ys.size, xs.size))
+
+    @given(
+        cells=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        pitch=st.integers(1, 8),
+        steps=st.integers(1, 3),
+        extra=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+        seed=st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pitch_g_equals_pitch_one_on_an_aligned_forest(self, cells, pitch, steps, extra,
+                                                           seed):
+        rng = np.random.default_rng(seed)
+        model = aligned_forest(rng, 3, cells, pitch)
+        planes = [rng.random((model.model_window[0] + extra[0], model.model_window[1] + extra[1]))
+                  for _ in range(3)]
+        want = score_window_grid(model, ChannelStack(planes), pitch * steps)
+        got = score_window_grid(model, ChannelStack(planes, pitch), pitch * steps)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_rejects_a_stride_or_rectangle_off_the_pitch(self):
+        rng = np.random.default_rng(24)
+        model = aligned_forest(rng, 2, (4, 2), 4)
+        stack = ChannelStack([rng.random((40, 24)) for _ in range(3)], pitch=4)
+        assert score_window_grid(model, stack, 8)[0].shape == (4, 3)
+        with pytest.raises(ValueError, match="stride 6"):
+            score_window_grid(model, stack, 6)
+        with pytest.raises(ValueError, match="split nodes at pitch 1"):
+            score_window_grid(model, stack, 8, split_nodes(model))
+        off = dataclasses.replace(model.trees[1].left_child, rect=Box(2, 4, 4, 4))
+        model.trees[1] = dataclasses.replace(model.trees[1], left_child=off)
+        with pytest.raises(ValueError, match="pitch"):
+            score_window_grid(model, stack, 4)
+        assert score_window_grid(model, ChannelStack(stack.channels), 4)[0].shape == (7, 5)
 
     def test_too_small_stack_yields_empty_grid(self):
         rng = np.random.default_rng(11)
@@ -341,6 +425,42 @@ class TestScoreWindowGrid:
         model = train_forest(pos, neg, 2, small_rects(), small_cfg(), WIN)
         scores, xs, ys = score_window_grid(model, random_stack(rng, 8, 8), 4)
         assert scores.size == 0
+
+
+class TestDetectPitch:
+    @staticmethod
+    def detect_with_pitches(monkeypatch, images, model, at_pitch_one=False):
+        """Detections on every image and the integral pitches detect built."""
+        pitches = set()
+
+        def recording(img, cfg, pitch=1):
+            pitches.add(pitch)
+            return compute_channels(img, cfg, pitch)
+
+        with monkeypatch.context() as m:
+            m.setattr(forest_module, "compute_channels", recording)
+            if at_pitch_one:
+                m.setattr(forest_module, "region_pitch", lambda *args: 1)
+            dets = [detect(img, model, TINY_SLIDING) for _, img in images]
+        return dets, pitches
+
+    def test_aligned_forest_reads_at_the_stride_gcd(self, tiny_world, tiny_forest, monkeypatch):
+        images = tiny_world[0][:3]
+        dets, pitches = self.detect_with_pitches(monkeypatch, images, tiny_forest)
+        want, ones = self.detect_with_pitches(monkeypatch, images, tiny_forest, True)
+        assert (pitches, ones) == ({4}, {1})
+        assert sum(map(len, dets)) > 0 and dets == want
+
+    def test_forest_off_the_grid_reads_at_pitch_one(self, tiny_world, tiny_forest, monkeypatch):
+        images = tiny_world[0][:3]
+        model = dataclasses.replace(tiny_forest, trees=list(tiny_forest.trees))
+        root = dataclasses.replace(model.trees[0].root, rect=Box(3, 5, 8, 8))
+        model.trees[0] = dataclasses.replace(model.trees[0], root=root)
+        dets, pitches = self.detect_with_pitches(monkeypatch, images, model)
+        want, _ = self.detect_with_pitches(monkeypatch, images, model, True)
+        assert pitches == {1}
+        assert sum(map(len, dets)) > 0 and dets == want
+        assert dets != self.detect_with_pitches(monkeypatch, images, tiny_forest)[0]
 
 
 class TestPyramid:
