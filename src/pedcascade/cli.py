@@ -234,13 +234,13 @@ def _cmd_train_net(args) -> int:
         train_kwargs["epochs"] = args.epochs
     if args.batch is not None:
         train_kwargs["batch"] = args.batch
-    tc = TrainConfig(seed=args.seed, **train_kwargs)
     ratio = None if args.ratio == "none" else BatchRatio(*map(int, args.ratio.split(":")))
-    try:
+    try:  # a misspelt, misshapen, mistyped or out-of-range key
+        tc = TrainConfig(seed=args.seed, **train_kwargs)
         spec = default_cifarnet(input_channels=images[0][1].planes,
                                 input_hw=WindowGeometry().window, **cfgfile.get("net", {}))
-    except TypeError as exc:  # a misspelt or misshapen "net" key
-        raise DataError(f"{args.config}: bad 'net' config ({exc})") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{args.config or '--epochs/--batch'}: bad config ({exc})") from exc
     cfg = CascadeTrainConfig(policy=LabelingPolicy(neg_source=args.neg_source), ratio=ratio,
                              net_train=tc, net_spec=spec, seed=args.seed)
     _write_manifest(args, "train-net", {"train": vars(tc), "ratio": args.ratio},

@@ -21,12 +21,24 @@ class TrainingDiverged(RuntimeError):
 # ---------------------------------------------------------------------------
 # layer specs
 
+def _require_counts(spec, *names: str) -> None:
+    for name in names:
+        if getattr(spec, name) < 1:
+            raise ValueError(f"{type(spec).__name__}.{name} must be at least 1, "
+                             f"got {getattr(spec, name)!r}")
+
+
 @dataclass(frozen=True)
 class ConvSpec:
     filters: int
     kernel: int
     stride: int = 1
     pad: Optional[int] = None  # default: kernel // 2 (shape-preserving for stride 1)
+
+    def __post_init__(self):
+        _require_counts(self, "filters", "kernel", "stride")
+        if self.pad is not None and self.pad < 0:
+            raise ValueError(f"ConvSpec.pad must not be negative, got {self.pad!r}")
 
     @property
     def padding(self) -> int:
@@ -42,6 +54,7 @@ class PoolSpec:
     def __post_init__(self):
         if self.mode not in ("max", "mean"):
             raise ValueError(f"pool mode must be max or mean, got {self.mode!r}")
+        _require_counts(self, "size", "stride")
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,9 @@ class SigmoidSpec:
 @dataclass(frozen=True)
 class FCSpec:
     units: int
+
+    def __post_init__(self):
+        _require_counts(self, "units")
 
 
 @dataclass(frozen=True)
@@ -141,9 +157,9 @@ def default_cifarnet(
 
 
 # ---------------------------------------------------------------------------
-# runtime layers: forward keeps in `_cache` what backward needs, and
-# backward(dout, need_dx=True) returns (dx, parameter gradients), with dx None
-# when need_dx is false
+# runtime layers hold only their spec and parameters: forward(x) returns
+# (out, cache), and backward(cache, dout, need_dx) reads that cache alone and
+# returns (dx, parameter gradients), with dx None when need_dx is false
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     n, c, h, w = x.shape
@@ -183,19 +199,21 @@ class ConvLayer:
     def forward(self, x):
         k, s, p = self.spec.kernel, self.spec.stride, self.spec.padding
         cols, oh, ow = _im2col(x, k, s, p)
-        self._cache = (x.shape, cols, oh, ow)
         wm = self.W.reshape(self.spec.filters, -1)
         out = np.matmul(wm[None], cols) + self.b[None, :, None]
-        return out.reshape(x.shape[0], self.spec.filters, oh, ow)
+        return out.reshape(x.shape[0], self.spec.filters, oh, ow), (x.shape, cols, oh, ow)
 
-    def backward(self, dout, need_dx=True):
-        x_shape, cols, oh, ow = self._cache
+    def backward(self, cache, dout, need_dx):
+        x_shape, cols, oh, ow = cache
         k, s, p = self.spec.kernel, self.spec.stride, self.spec.padding
         dflat = dout.reshape(dout.shape[0], self.spec.filters, -1)
         dW = np.matmul(dflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.W.shape)
         db = dflat.sum(axis=(0, 2))
         if not need_dx:
             return None, [dW, db]
+        # dcols has the columns' shape: once the caller has let go of the
+        # cache, it takes their memory instead of growing the heap by as much
+        del cache, cols
         wm = self.W.reshape(self.spec.filters, -1)
         dcols = np.matmul(wm.T[None], dflat)
         dx = _col2im(dcols, x_shape, k, s, p, oh, ow)
@@ -215,14 +233,13 @@ class PoolLayer:
         if self.spec.mode == "max":
             idx = np.argmax(cols, axis=2)
             out = np.take_along_axis(cols, idx[:, :, None, :], axis=2)[:, :, 0, :]
-            self._cache = (x.shape, idx, oh, ow)
         else:
+            idx = None
             out = cols.mean(axis=2)
-            self._cache = (x.shape, None, oh, ow)
-        return out.reshape(n, c, oh, ow)
+        return out.reshape(n, c, oh, ow), (x.shape, idx, oh, ow)
 
-    def backward(self, dout, need_dx=True):
-        x_shape, idx, oh, ow = self._cache
+    def backward(self, cache, dout, need_dx):
+        x_shape, idx, oh, ow = cache
         if not need_dx:
             return None, []
         k, s = self.spec.size, self.spec.stride
@@ -242,11 +259,11 @@ class ReLULayer:
         self.params = []
 
     def forward(self, x):
-        self._cache = x > 0
-        return x * self._cache
+        mask = x > 0
+        return x * mask, mask
 
-    def backward(self, dout, need_dx=True):
-        return (dout * self._cache if need_dx else None), []
+    def backward(self, mask, dout, need_dx):
+        return (dout * mask if need_dx else None), []
 
 
 class SigmoidLayer:
@@ -254,11 +271,10 @@ class SigmoidLayer:
         self.params = []
 
     def forward(self, x):
-        self._cache = sigmoid(x)
-        return self._cache
+        out = sigmoid(x)
+        return out, out
 
-    def backward(self, dout, need_dx=True):
-        out = self._cache
+    def backward(self, out, dout, need_dx):
         return (dout * out * (1.0 - out) if need_dx else None), []
 
 
@@ -274,11 +290,10 @@ class FCLayer:
 
     def forward(self, x):
         flat = x.reshape(x.shape[0], -1)
-        self._cache = (x.shape, flat)
-        return flat @ self.W.T + self.b
+        return flat @ self.W.T + self.b, (x.shape, flat)
 
-    def backward(self, dout, need_dx=True):
-        in_shape, flat = self._cache
+    def backward(self, cache, dout, need_dx):
+        in_shape, flat = cache
         dW = dout.T @ flat
         db = dout.sum(axis=0)
         dx = (dout @ self.W).reshape(in_shape) if need_dx else None
@@ -290,9 +305,9 @@ class SoftmaxLayer:
         self.params = []
 
     def forward(self, x):
-        return softmax(x)
+        return softmax(x), None
 
-    def backward(self, dout, need_dx=True):  # pragma: no cover - loss bypasses it
+    def backward(self, cache, dout, need_dx):  # pragma: no cover - loss bypasses it
         raise NotImplementedError("train through loss_and_grads, not the softmax layer")
 
 
@@ -345,6 +360,11 @@ class TrainConfig:
         for name in ("lr", "momentum", "batch", "weight_decay", "lr_drop", "init_sigma"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("epochs", "extra_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
+        if self.epochs + self.extra_epochs == 0:
+            raise ValueError("epochs and extra_epochs are both zero")
 
 
 class NetModel:
@@ -382,22 +402,21 @@ class NetModel:
         return [(i, l) for i, l in enumerate(self.layers) if l.params]
 
     def forward(self, x: np.ndarray, upto: Optional[str] = None):
-        """Run the network; returns (output, activations per layer).
+        """Run the network; returns (output, one backward cache per layer run).
 
         `x` is (N, C, H, W) (or (N, F) for FC-only nets).  `upto` stops after
         the named layer and returns its activation as the output.
         """
-        names = self.layer_names
-        acts = []
+        caches = []
         out = x
-        for name, layer in zip(names, self.layers):
-            out = layer.forward(out)
-            acts.append(out)
-            if upto is not None and name == upto:
-                return out, acts
+        for name, layer in zip(self.layer_names, self.layers):
+            out, cache = layer.forward(out)
+            caches.append(cache)
+            if name == upto:
+                return out, caches
         if upto is not None:
             raise KeyError(f"no layer named {upto!r}")
-        return out, acts
+        return out, caches
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         """Positive-class softmax probability per sample."""
@@ -432,13 +451,10 @@ def loss_and_grads(model: NetModel, x: np.ndarray, labels: np.ndarray,
         raise ValueError("empty batch")
     if cfg is None:
         cfg = TrainConfig()
-    if not isinstance(model.layers[-1], SoftmaxLayer):
-        raise ValueError("training requires a softmax output layer")
+    if len(model.layers) < 2 or not isinstance(model.layers[-1], SoftmaxLayer):
+        raise ValueError("training requires a softmax output layer after another layer")
 
-    out = x
-    for layer in model.layers[:-1]:
-        out = layer.forward(out)
-    logits = out
+    logits, caches = model.forward(x, upto=model.layer_names[-2])
     n = x.shape[0]
     z = logits - logits.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -451,9 +467,9 @@ def loss_and_grads(model: NetModel, x: np.ndarray, labels: np.ndarray,
 
     grads: Dict[int, list] = {}
     dout = dlogits
-    for i in range(len(model.layers) - 2, -1, -1):
+    for i in range(len(caches) - 1, -1, -1):
         # the first layer's input gradient is never read, so it is not built
-        dout, g = model.layers[i].backward(dout, i > 0)
+        dout, g = model.layers[i].backward(caches.pop(), dout, i > 0)
         if g:
             grads[i] = g
 
@@ -493,9 +509,6 @@ def sgd_train(model: NetModel, sampler, cfg: TrainConfig) -> NetModel:
         model.training_log.append(
             {"epoch": epoch, "lr": lr, "mean_loss": float(np.mean(losses))}
         )
-    # the last batch's activations: tens of MB that a trained model never reads
-    for layer in model.layers:
-        layer._cache = None
     return model
 
 

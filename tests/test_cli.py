@@ -464,6 +464,26 @@ class TestTrainRescorer:
         assert err.startswith("data error:") and str(cfg_path) in err and "fc_unit" in err
         assert not net_out.exists()
 
+    @pytest.mark.parametrize("config", [
+        {"lr": -1},
+        {"net": {"conv_filters": [4, 4]}},
+        {"epochs": -3},
+        {"net": {"fc_units": 0}},
+        {"net": {"conv_kernels": [0, 3, 3]}},
+        {"batch": "12"},
+    ], ids=["negative_lr", "two_conv_filters", "negative_epochs", "zero_fc_units",
+            "zero_kernel", "string_batch"])
+    def test_bad_config_exits_2(self, tmp_path, rescorer_data, capsys, config):
+        args, _, _, _ = rescorer_data
+        cfg_path = tmp_path / "net.json"
+        cfg_path.write_text(json.dumps({"version": 1, **config}))
+        net_out = tmp_path / "net.bin"
+        assert run(["--out-dir", tmp_path, "train-net", *args, "--net-out", net_out,
+                    "--config", cfg_path]) == 2 == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(cfg_path) in err
+        assert not net_out.exists()
+
     def test_unknown_feature_layer_exits_2(self, tmp_path, rescorer_data, capsys,
                                            monkeypatch):
         def no_pool(*a, **k):  # pragma: no cover - must not run

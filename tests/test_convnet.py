@@ -1,8 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pedcascade.cascade import NetRescorer, train_svm_head
 from pedcascade.convnet import (
     ConvLayer,
     ConvSpec,
@@ -28,6 +30,7 @@ from pedcascade.convnet import (
     spec_from_json,
     spec_to_json,
 )
+from pedcascade.svm import SvmConfig
 
 
 def naive_conv(x, W, b, stride, pad):
@@ -113,6 +116,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             NetSpec((10,), [ConvSpec(4, 3)])
 
+    @pytest.mark.parametrize("make", [
+        lambda: ConvSpec(0, 3), lambda: ConvSpec(4, 0), lambda: ConvSpec(4, 3, stride=0),
+        lambda: ConvSpec(4, 3, pad=-1), lambda: PoolSpec(size=0), lambda: PoolSpec(stride=0),
+        lambda: FCSpec(0), lambda: TrainConfig(epochs=-1), lambda: TrainConfig(extra_epochs=-1),
+        lambda: TrainConfig(epochs=0, extra_epochs=0),
+    ])
+    def test_rejects_counts_below_one(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_accepts_the_edges(self):
+        assert ConvSpec(4, 3, pad=0).padding == 0
+        assert TrainConfig(epochs=0, extra_epochs=1).extra_epochs == 1
+
     def test_default_cifarnet_parameter_budget(self):
         spec = default_cifarnet()
         model = NetModel(spec, seed=0)
@@ -133,7 +150,7 @@ class TestForwardOracles:
             layer.W[...] = rng.normal(size=layer.W.shape)
             layer.b[...] = rng.normal(size=layer.b.shape)
             x = rng.normal(size=(2, 3, 12, 10))
-            got = layer.forward(x)
+            got = layer.forward(x)[0]
             want = naive_conv(x, layer.W, layer.b, stride, pad)
             assert np.allclose(got, want, atol=1e-10)
 
@@ -142,11 +159,11 @@ class TestForwardOracles:
         rng = np.random.default_rng(1)
         layer = PoolLayer(PoolSpec(mode))
         x = rng.normal(size=(2, 3, 11, 9))
-        assert np.allclose(layer.forward(x), naive_pool(x, 3, 2, mode), atol=1e-12)
+        assert np.allclose(layer.forward(x)[0], naive_pool(x, 3, 2, mode), atol=1e-12)
 
     def test_relu(self):
         x = np.array([[-1.0, 0.0, 2.5]])
-        assert np.array_equal(ReLULayer().forward(x), [[0.0, 0.0, 2.5]])
+        assert np.array_equal(ReLULayer().forward(x)[0], [[0.0, 0.0, 2.5]])
 
     def test_sigmoid_stable_at_extremes(self):
         x = np.array([-800.0, 0.0, 800.0])
@@ -168,7 +185,7 @@ class TestForwardOracles:
         layer.W[...] = rng.normal(size=layer.W.shape)
         layer.b[...] = rng.normal(size=4)
         x = rng.normal(size=(3, 6))
-        assert np.allclose(layer.forward(x), x @ layer.W.T + layer.b)
+        assert np.allclose(layer.forward(x)[0], x @ layer.W.T + layer.b)
 
 
 class TestGradients:
@@ -221,17 +238,15 @@ class TestGradients:
             x, samples=25, rng=rng,
         )
         # analytic input gradient via manual backprop chain
-        out = x
-        for layer in model.layers[:-1]:
-            out = layer.forward(out)
+        out, caches = model.forward(x, upto="fc1")
         z = out - out.max(axis=1, keepdims=True)
         probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         dlogits = probs.copy()
         dlogits[np.arange(2), labels] -= 1.0
         dlogits /= 2
         dout = dlogits
-        for layer in reversed(model.layers[:-1]):
-            dout, _ = layer.backward(dout)
+        for layer, cache in reversed(list(zip(model.layers, caches))):
+            dout, _ = layer.backward(cache, dout, True)
         for i, nv in num.items():
             av = dout.reshape(-1)[i]
             assert abs(nv - av) / max(abs(nv), abs(av), 1e-6) <= 1e-4
@@ -246,9 +261,9 @@ class TestGradients:
 
         first, calls = model.layers[0], []
 
-        def full_chain(dout, need_dx=True):
+        def full_chain(cache, dout, need_dx):
             calls.append(need_dx)
-            return type(first).backward(first, dout)
+            return type(first).backward(first, cache, dout, True)
 
         first.backward = full_chain  # the whole chain, dx of the first layer too
         want_loss, want = loss_and_grads(model, x, labels)
@@ -263,15 +278,34 @@ class TestGradients:
                                    ConvSpec(2, 3), PoolSpec("mean"), ReLUSpec(), FCSpec(4),
                                    FCSpec(2), SoftmaxSpec()])
         model = NetModel(spec, seed=5, init_sigma=0.3, first_layer_sigma=0.3)
-        out, _ = model.forward(rng.normal(size=(3, 2, 9, 7)), upto="fc2")
+        out, caches = model.forward(rng.normal(size=(3, 2, 9, 7)), upto="fc2")
         dout = rng.normal(size=out.shape)
-        for layer in reversed(model.layers[:-1]):
-            dx, grads = layer.backward(dout)
-            none, same = layer.backward(dout, False)
+        for layer, cache in reversed(list(zip(model.layers, caches))):
+            dx, grads = layer.backward(cache, dout, True)
+            none, same = layer.backward(cache, dout, False)
             assert none is None
             assert len(same) == len(grads)
             assert all(np.array_equal(a, b) for a, b in zip(same, grads))
             dout = dx
+
+    def test_conv_backward_builds_dx_in_the_columns_memory(self):
+        """With the cache handed over, as `loss_and_grads` does, the columns
+        are freed before the input gradient's columns of the same shape are
+        built, so a backward pass never holds both."""
+        rng = np.random.default_rng(12)
+        layer = ConvLayer(ConvSpec(4, 5), in_channels=3)
+        x, dout = rng.normal(size=(8, 3, 24, 16)), rng.normal(size=(8, 4, 24, 16))
+        tracemalloc.start()
+        try:
+            caches = [layer.forward(x)[1]]
+            cols_bytes = caches[0][1].nbytes
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            layer.backward(caches.pop(), dout, True)
+            grown = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < cols_bytes / 2
 
     def test_trained_model_keeps_no_batch_activations(self):
         rng = np.random.default_rng(11)
@@ -286,11 +320,20 @@ class TestGradients:
             def next_batch(self):
                 return batch
 
+        def held():
+            return [(name, k) for name, layer in zip(model.layer_names, model.layers)
+                    for k, v in vars(layer).items() if k not in ("W", "b", "spec", "params")
+                    and v is not None]
+
         sgd_train(model, OneBatch(), TrainConfig(batch=4, epochs=2, extra_epochs=0))
-        held = [(name, k) for name, layer in zip(model.layer_names, model.layers)
-                for k, v in vars(layer).items() if k not in ("W", "b", "spec", "params")
-                and v is not None]
-        assert held == []
+        assert held() == []
+        model.scores(batch[0])
+        assert held() == []
+        model.features(batch[0], "fc1")
+        assert held() == []
+        windows = list(batch[0].transpose(0, 2, 3, 1))  # image layout (H, W, C)
+        head = train_svm_head(NetRescorer(model, 0.1), windows, batch[1], SvmConfig())
+        assert head.model is model and held() == []
 
 
 class TestLossAndTraining:
@@ -309,10 +352,10 @@ class TestLossAndTraining:
         assert loss == pytest.approx(ce + reg, rel=1e-9)
 
     def test_requires_softmax_tail(self):
-        spec = NetSpec((4,), [FCSpec(2)])
-        model = NetModel(spec, seed=0)
-        with pytest.raises(ValueError):
-            loss_and_grads(model, np.zeros((2, 4)), np.zeros(2, dtype=int))
+        for layers in ([FCSpec(2)], [SoftmaxSpec()]):
+            model = NetModel(NetSpec((4,), layers), seed=0)
+            with pytest.raises(ValueError):
+                loss_and_grads(model, np.zeros((2, 4)), np.zeros(2, dtype=int))
 
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(10)
