@@ -10,6 +10,9 @@ digest per line for:
                     the proposal filter
   detect.filtered   the same detections after filter_proposals to the
                     benchmark's budget of 3.0 per image
+  detect.dense      detections on the test frames at the dense config
+                    training and run_cascade use (threshold -1e9, so every
+                    window enters NMS), before the proposal filter
   run_cascade       the test-set run_cascade output at the acceptance config
   verify            the verify_equivalence report of the compiled forest
 
@@ -41,13 +44,14 @@ import workloads  # noqa: E402
 
 
 def digests(seed: int):
-    """(name, hex digest) pairs of the five outputs on one seed."""
+    """(name, hex digest) pairs of the six outputs on one seed."""
     scale = workloads.Scale()
     (train_pairs, train_frames), (test_pairs, _) = workloads.synth_inputs(scale, seed)
     casc = cascade.train_cascade(train_pairs, train_frames, workloads.train_config(scale))
     model = casc.proposal_model
     dets = [forest.detect(img, model, scale.detect_sliding) for _, img in test_pairs]
     _, kept = forest.filter_proposals(dets, workloads.PROPOSAL_BUDGET)
+    dense = [forest.detect(img, model, scale.dense_sliding) for _, img in test_pairs]
     ids = [fid for fid, _ in test_pairs]
     run, _ = cascade.run_cascade(test_pairs, workloads.cascade_config(scale, casc))
     report = forest2nn.verify_equivalence(model, forest2nn.compile_forest(model),
@@ -56,6 +60,7 @@ def digests(seed: int):
         ("model", workloads.model_bytes(casc)),
         ("detect", workloads.dets_bytes(dict(zip(ids, dets)))),
         ("detect.filtered", workloads.dets_bytes(dict(zip(ids, kept)))),
+        ("detect.dense", workloads.dets_bytes(dict(zip(ids, dense)))),
         ("run_cascade", workloads.dets_bytes(run)),
         ("verify", repr(report).encode()),
     ]

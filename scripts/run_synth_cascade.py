@@ -13,7 +13,6 @@ import time
 from pedcascade.cascade import (
     CascadeConfig,
     CascadeTrainConfig,
-    IdentityRescorer,
     run_cascade,
     train_cascade,
 )
@@ -73,8 +72,8 @@ def main():
     stamp(f"cascade trained ({len(cascade.proposal_model.trees)} trees)")
 
     proposals_cfg = CascadeConfig(
-        proposal_model=cascade.proposal_model, rescorer=IdentityRescorer(),
-        score_blend="none", sliding=sliding, geometry=cascade.geometry,
+        proposal_model=cascade.proposal_model, rescorer=None, sliding=sliding,
+        geometry=cascade.geometry,
     )
     prop_dets, _ = run_cascade(test_pairs, proposals_cfg)
     rc = recall_vs_iou(prop_dets, test_frames)

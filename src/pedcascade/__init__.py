@@ -5,7 +5,6 @@ rescorer, and detection evaluation metrics."""
 from .cascade import (
     CascadeConfig,
     CascadeTrainConfig,
-    IdentityRescorer,
     NetRescorer,
     SvmRescorer,
     TimingReport,

@@ -1,10 +1,10 @@
 """Two-stage detector: forest proposals, window extraction, rescoring
-(convnet, SVM head, or identity), final NMS."""
+(convnet or SVM head; none for proposals only), final NMS."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +33,7 @@ from .forest import (
     filter_proposals,
     train_forest,
 )
-from .geometry import Detection, iou_matrix, nms
+from .geometry import Detection, box_array, iou_matrix, nms
 from .imageops import Image
 from .svm import SvmConfig, train_svm
 
@@ -51,13 +51,6 @@ def _net_layout(windows: np.ndarray) -> np.ndarray:
     if windows.ndim == 4:
         return windows.transpose(0, 3, 1, 2)
     return windows[:, None, :, :]
-
-
-class IdentityRescorer:
-    """Keeps the proposal scores; the cascade degenerates to stage one."""
-
-    def __call__(self, windows: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        return np.asarray(scores, dtype=np.float64)
 
 
 class NetRescorer:
@@ -95,18 +88,15 @@ class SvmRescorer:
 @dataclass
 class CascadeConfig:
     proposal_model: ForestModel
-    rescorer: object  # callable(windows, scores) -> scores
+    rescorer: Optional[object]  # callable(windows, scores) -> scores; None: proposals only
     proposal_filter_avg: float = 3.0
     final_nms_iou: float = 0.5
-    score_blend: str = "replace"  # "replace" or "none"
     sliding: SlidingWindowConfig = field(default_factory=SlidingWindowConfig)
     geometry: WindowGeometry = field(default_factory=WindowGeometry)
 
     def __post_init__(self):
         if self.proposal_filter_avg <= 0:
             raise ValueError("proposal_filter_avg must be > 0")
-        if self.score_blend not in ("replace", "none"):
-            raise ValueError(f"bad score_blend {self.score_blend!r}")
 
 
 @dataclass
@@ -155,17 +145,19 @@ def run_cascade(
     t_rescore = 0.0
     out: Dict[str, List[Detection]] = {}
     for (fid, img), dets in zip(images, filtered):
-        if dets and cfg.score_blend == "replace":
+        boxes = [d.box for d in dets]
+        scores = np.array([d.score for d in dets])
+        if dets and cfg.rescorer is not None:
             t1 = time.perf_counter()
             try:
-                wins = _window_batch(img, [d.box for d in dets], cfg.geometry)
-                new_scores = cfg.rescorer(wins, np.array([d.score for d in dets]))
+                scores = np.asarray(cfg.rescorer(_window_batch(img, boxes, cfg.geometry), scores),
+                                    dtype=np.float64)
             except Exception as exc:
                 raise CascadeError(f"frame {fid}: rescoring failed: {exc}") from exc
             t_rescore += time.perf_counter() - t1
             windows_scored += len(dets)
-            dets = [replace(d, score=float(s)) for d, s in zip(dets, new_scores)]
-        out[fid] = nms(dets, cfg.final_nms_iou)
+        keep = nms(box_array(boxes), scores, cfg.final_nms_iou)
+        out[fid] = [Detection(boxes[i], s) for i, s in zip(keep.tolist(), scores[keep].tolist())]
 
     total = time.perf_counter() - t0
     n = len(images)
@@ -381,8 +373,7 @@ def train_cascade(
 
     if cfg.rescorer_kind == "identity":
         return CascadeConfig(
-            proposal_model=forest, rescorer=IdentityRescorer(),
-            proposal_filter_avg=cfg.proposal_filter_avg, score_blend="none",
+            proposal_model=forest, rescorer=None, proposal_filter_avg=cfg.proposal_filter_avg,
             sliding=cfg.sliding, geometry=cfg.geometry,
         )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -21,7 +22,6 @@ from .cascade import (
     CascadeConfig,
     CascadeError,
     CascadeTrainConfig,
-    IdentityRescorer,
     load_rescorer,
     rescorer_training_pool,
     run_cascade,
@@ -30,7 +30,7 @@ from .cascade import (
     train_rescorer,
     train_svm_head,
 )
-from .channels import ChannelConfig
+from .channels import CHANNEL_COUNTS, ChannelConfig
 from .convnet import TrainConfig, TrainingDiverged, default_cifarnet, save_net
 from .data import (
     BatchRatio,
@@ -71,6 +71,33 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _checked(convert, ok, what: str):
+    """An argparse type: convert(text), which must pass ok(value); any other
+    value is a usage error."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in its own errors
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "a positive integer")
+_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+
+
+def _ratio(text: str) -> Optional[BatchRatio]:
+    """--ratio: "none", or "pos:neg" with both parts >= 1."""
+    if text == "none":
+        return None
+    try:
+        return BatchRatio(*map(int, text.split(":")))
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f'{text!r} is not "none" or "pos:neg" with parts >= 1')
 
 
 def _out_dir(args) -> Path:
@@ -126,9 +153,8 @@ def _cascade_config(args, threshold: float = 0.0, proposals_avg: float = 3.0) ->
     hw = rescorer.model.spec.input_shape[-2:] if rescorer else WindowGeometry().window
     return CascadeConfig(
         proposal_model=forest,
-        rescorer=rescorer or IdentityRescorer(),
+        rescorer=rescorer,
         proposal_filter_avg=proposals_avg,
-        score_blend="replace" if rescorer else "none",
         sliding=SlidingWindowConfig(score_threshold=threshold),
         geometry=WindowGeometry(hw, tuple(n * OBJECT_EXTENT_RATIO for n in hw)),
     )
@@ -190,7 +216,13 @@ def _cmd_synth(args) -> int:
 def _cmd_train_forest(args) -> int:
     cfgfile = _load_config_file(args.config)
     channel_kind = args.channels or cfgfile.get("channels", "G_LUV")
-    n_trees = args.trees or cfgfile.get("trees", 64)
+    n_trees = args.trees if args.trees is not None else cfgfile.get("trees", 64)
+    try:  # the flags are checked by the parser, so a bad value is the file's
+        channel_cfg = ChannelConfig(channel_kind)
+        if type(n_trees) is not int or n_trees < 1:
+            raise ValueError(f"trees must be a positive integer, got {n_trees!r}")
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{args.config}: bad config ({exc})") from exc
     images = _load_images(args.images, color=True)
     frames = load_annotations(args.annotations, args.format)
     _write_manifest(
@@ -198,7 +230,7 @@ def _cmd_train_forest(args) -> int:
         {"channels": channel_kind, "trees": n_trees},
         {"seed": args.seed}, [args.annotations],
     )
-    cfg = CascadeTrainConfig(n_trees=n_trees, channel_cfg=ChannelConfig(channel_kind),
+    cfg = CascadeTrainConfig(n_trees=n_trees, channel_cfg=channel_cfg,
                              forest_negatives_per_frame=args.negatives_per_frame, seed=args.seed)
     try:
         model = train_proposal_forest(images, _aligned_frames(images, frames), cfg)
@@ -234,16 +266,15 @@ def _cmd_train_net(args) -> int:
         train_kwargs["epochs"] = args.epochs
     if args.batch is not None:
         train_kwargs["batch"] = args.batch
-    ratio = None if args.ratio == "none" else BatchRatio(*map(int, args.ratio.split(":")))
     try:  # a misspelt, misshapen, mistyped or out-of-range key
         tc = TrainConfig(seed=args.seed, **train_kwargs)
         spec = default_cifarnet(input_channels=images[0][1].planes,
                                 input_hw=WindowGeometry().window, **cfgfile.get("net", {}))
     except (TypeError, ValueError) as exc:
         raise DataError(f"{args.config or '--epochs/--batch'}: bad config ({exc})") from exc
-    cfg = CascadeTrainConfig(policy=LabelingPolicy(neg_source=args.neg_source), ratio=ratio,
+    cfg = CascadeTrainConfig(policy=LabelingPolicy(neg_source=args.neg_source), ratio=args.ratio,
                              net_train=tc, net_spec=spec, seed=args.seed)
-    _write_manifest(args, "train-net", {"train": vars(tc), "ratio": args.ratio},
+    _write_manifest(args, "train-net", {"train": vars(tc), "ratio": args.ratio and vars(args.ratio)},
                     {"seed": args.seed}, [args.annotations, args.proposals])
     try:
         rescorer = train_rescorer(images, frames, proposals, cfg)
@@ -381,9 +412,9 @@ def build_parser() -> _Parser:
     s.add_argument("--annotations", required=True)
     s.add_argument("--format", default="json", choices=["json", "kitti_txt"])
     s.add_argument("--model-out", required=True)
-    s.add_argument("--channels", default=None)
-    s.add_argument("--trees", type=int, default=None)
-    s.add_argument("--negatives-per-frame", type=int, default=20)
+    s.add_argument("--channels", default=None, choices=sorted(CHANNEL_COUNTS))
+    s.add_argument("--trees", type=_POSITIVE_INT, default=None)
+    s.add_argument("--negatives-per-frame", type=_NON_NEGATIVE_INT, default=20)
     s.add_argument("--config", default=None)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_train_forest)
@@ -391,9 +422,9 @@ def build_parser() -> _Parser:
     s = sub.add_parser("compile-forest", help="compile a forest into a network")
     s.add_argument("--model", required=True)
     s.add_argument("--verify", action="store_true")
-    s.add_argument("--samples", type=int, default=10000)
+    s.add_argument("--samples", type=_POSITIVE_INT, default=10000)
     s.add_argument("--net-out", default=None)
-    s.add_argument("--sharpness", type=float, default=100.0)
+    s.add_argument("--sharpness", type=_POSITIVE, default=100.0)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_compile_forest)
 
@@ -403,7 +434,7 @@ def build_parser() -> _Parser:
     s.add_argument("--format", default="json", choices=["json", "kitti_txt"])
     s.add_argument("--proposals", required=True)
     s.add_argument("--net-out", required=True)
-    s.add_argument("--ratio", default="1:5", help='"pos:neg" or "none"')
+    s.add_argument("--ratio", type=_ratio, default="1:5", help='"pos:neg" or "none"')
     s.add_argument("--neg-source", default="proposals", choices=["proposals", "random"])
     s.add_argument("--epochs", type=int, default=None)
     s.add_argument("--batch", type=int, default=None)
@@ -430,7 +461,7 @@ def build_parser() -> _Parser:
     s.add_argument("--net", default=None)
     s.add_argument("--dets-out", required=True)
     s.add_argument("--threshold", type=float, default=0.0)
-    s.add_argument("--proposals-avg", type=float, default=3.0)
+    s.add_argument("--proposals-avg", type=_POSITIVE, default=3.0)
     s.set_defaults(func=_cmd_detect)
 
     s = sub.add_parser("evaluate", help="evaluate detections against annotations")

@@ -425,25 +425,22 @@ def detect(
     margin_x = win_w * (1.0 - OBJECT_EXTENT_RATIO) / 2.0
     margin_y = win_h * (1.0 - OBJECT_EXTENT_RATIO) / 2.0
 
-    dets: List[Detection] = []
+    boxes, scores = [np.empty((0, 4))], [np.empty(0)]
     for r in pyramid_ratios(arr.shape[0], arr.shape[1], model, cfg):
         if abs(r - 1.0) < 1e-12:
             scaled = arr
         else:
             scaled = bilinear_resize(arr, int(round(arr.shape[0] * r)), int(round(arr.shape[1] * r)))
         stack = compute_channels(scaled, model.channel_cfg, pitch)
-        scores, xs, ys = score_window_grid(model, stack, cfg.stride, nodes)
-        keep_i, keep_j = np.nonzero(scores > cfg.score_threshold)
-        for i, j in zip(keep_i, keep_j):
-            x = (xs[j] + margin_x) / r
-            y = (ys[i] + margin_y) / r
-            dets.append(
-                Detection(
-                    Box(x, y, win_w * OBJECT_EXTENT_RATIO / r, win_h * OBJECT_EXTENT_RATIO / r),
-                    float(scores[i, j]),
-                )
-            )
-    return nms(dets, cfg.nms_iou)
+        grid, xs, ys = score_window_grid(model, stack, cfg.stride, nodes)
+        keep_i, keep_j = np.nonzero(grid > cfg.score_threshold)
+        w, h = win_w * OBJECT_EXTENT_RATIO / r, win_h * OBJECT_EXTENT_RATIO / r
+        boxes.append(np.stack([(xs[keep_j] + margin_x) / r, (ys[keep_i] + margin_y) / r,
+                               np.full(keep_i.size, w), np.full(keep_i.size, h)], axis=1))
+        scores.append(grid[keep_i, keep_j])
+    boxes, scores = np.concatenate(boxes), np.concatenate(scores)
+    keep = nms(boxes, scores, cfg.nms_iou)
+    return [Detection(Box(*b), s) for b, s in zip(boxes[keep].tolist(), scores[keep].tolist())]
 
 
 def filter_proposals(

@@ -58,10 +58,14 @@ class MatchResult:
     ignored_detections: List[int] = field(default_factory=list)
 
 
-def _corners(boxes: Sequence[Box]) -> Tuple[np.ndarray, ...]:
-    """(x1, y1, x2, y2, area) arrays of the boxes, area taken from the corners."""
-    x1, y1, w, h = np.array([(b.x, b.y, b.w, b.h) for b in boxes],
-                            dtype=np.float64).reshape(-1, 4).T
+def box_array(boxes: Sequence[Box]) -> np.ndarray:
+    """(n, 4) float64 array of the boxes' (x, y, w, h) rows."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def _corners(boxes: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(x1, y1, x2, y2, area) of (x, y, w, h) rows, area taken from the corners."""
+    x1, y1, w, h = boxes.T
     x2, y2 = x1 + w, y1 + h
     return x1, y1, x2, y2, (x2 - x1) * (y2 - y1)
 
@@ -81,7 +85,7 @@ def iou_matrix(a: Sequence[Box], b: Sequence[Box]) -> np.ndarray:
     The one overlap kernel: NMS, matching and labelling all read it, so a
     box's IoU with itself is exactly 1 and the matrix is exactly symmetric.
     """
-    return _overlap([v[:, None] for v in _corners(a)], _corners(b))
+    return _overlap([v[:, None] for v in _corners(box_array(a))], _corners(box_array(b)))
 
 
 def iou(a: Box, b: Box) -> float:
@@ -89,38 +93,34 @@ def iou(a: Box, b: Box) -> float:
     return float(iou_matrix([a], [b])[0, 0])
 
 
-def _det_order(dets: Sequence[Detection]) -> List[int]:
-    # Deterministic: score desc, then x asc, y asc, input order.
-    return sorted(
-        range(len(dets)),
-        key=lambda i: (-dets[i].score, dets[i].box.x, dets[i].box.y, i),
-    )
+def score_order(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Row indices by descending score, then x, then y, then index (stable)."""
+    return np.lexsort((boxes[:, 1], boxes[:, 0], -scores))
 
 
-def nms(dets: Sequence[Detection], iou_threshold: float) -> List[Detection]:
-    """Greedy non-maximum suppression.
+def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Greedy non-maximum suppression of (n, 4) (x, y, w, h) rows by (n,) scores.
 
-    Keeps the highest-scoring remaining detection and removes all others
-    with IoU strictly above `iou_threshold` against it.  Output sorted by
-    descending score with the same tie-break used for processing order.
+    Keeps the first remaining row in score_order and removes all others with
+    IoU strictly above `iou_threshold` against it; returns the kept indices in
+    that order.  Rows Box or Detection would reject are a ValueError.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0,1], got {iou_threshold}")
-    if not dets:
-        return []
-    order = _det_order(dets)
-    corners = _corners([dets[i].box for i in order])
+    if scores.ndim != 1 or boxes.shape != (scores.size, 4):
+        raise ValueError(f"need (n, 4) boxes and (n,) scores, got {boxes.shape} and {scores.shape}")
+    order = score_order(boxes, scores)
+    corners = _corners(boxes[order])
+    if not (np.isfinite(boxes).all() and np.isfinite(scores).all()
+            and (boxes[:, 2:] > 0).all() and (corners[4] > 0).all()):
+        raise ValueError("non-finite value, or box extent not positive or vanishing at its position")
 
-    kept: List[int] = []
     alive = np.ones(len(order), dtype=bool)
     for k in range(len(order)):
-        if not alive[k]:
-            continue
-        kept.append(order[k])
-        overlap = _overlap([v[k] for v in corners], corners)
-        alive &= ~(overlap > iou_threshold)
-        alive[k] = False
-    return [dets[i] for i in kept]
+        if alive[k]:
+            overlap = _overlap([v[k] for v in corners], [v[k + 1:] for v in corners])
+            alive[k + 1:] &= ~(overlap > iou_threshold)
+    return order[alive]
 
 
 def match_detections(
@@ -141,7 +141,7 @@ def match_detections(
     to_gt = iou_matrix(boxes, gt).tolist()
     to_ignore = (iou_matrix(boxes, ignore) >= iou_threshold).any(axis=1)
     gt_taken = [False] * len(gt)
-    for i in _det_order(dets):
+    for i in score_order(box_array(boxes), np.array([d.score for d in dets])).tolist():
         best_j = -1
         best_iou = 0.0
         for j, o in enumerate(to_gt[i]):

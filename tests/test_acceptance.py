@@ -17,7 +17,6 @@ import pytest
 from pedcascade.cascade import (
     CascadeConfig,
     CascadeTrainConfig,
-    IdentityRescorer,
     run_cascade,
     train_cascade,
     train_rescorer,
@@ -51,14 +50,14 @@ from pedcascade.forest import (
     forest_to_json,
 )
 from pedcascade.forest2nn import compile_forest, verify_equivalence
-from pedcascade.geometry import Box, Detection, match_detections, nms
+from pedcascade.geometry import Box, Detection, match_detections
 from pedcascade.imageops import write_pnm
 from pedcascade.synth import SynthSpec, synth_dataset
 
 from test_convnet import check_param_grads
 from test_evaluate import random_instance, ref_ap, ref_lamr, ref_match
 from test_forest2nn import leaf_by_traversal, random_forest
-from test_geometry import brute_nms
+from test_geometry import brute_nms, nms_detections
 
 from scipy import stats
 
@@ -158,7 +157,7 @@ def test_criterion_04_metric_oracles():
         assert abs(ref_ap(dets, ann) - average_precision(dets, ann)[1]) <= 1e-9
 
         flat = [d for ds in dets.values() for d in ds]
-        assert nms(flat, 0.5) == brute_nms(flat, 0.5)
+        assert nms_detections(flat, 0.5) == brute_nms(flat, 0.5)
 
         a = ann[0]
         frame_dets = dets[a.frame_id]
@@ -292,10 +291,10 @@ def _cifarnet_small():
                             fc_units=16)
 
 
-def _eval_rescorer(pipeline, rescorer, blend="replace"):
+def _eval_rescorer(pipeline, rescorer):
     cfg = CascadeConfig(
         proposal_model=pipeline["forest"], rescorer=rescorer,
-        score_blend=blend, sliding=SLIDING, geometry=NET_GEOM,
+        sliding=SLIDING, geometry=NET_GEOM,
     )
     dets, report = run_cascade(pipeline["test_pairs"], cfg)
     _, mr = lamr(dets, pipeline["test_frames"])
@@ -336,7 +335,7 @@ def pipeline():
 
 def test_criterion_07_cascade_beats_proposals(pipeline):
     t0 = time.time()
-    prop_dets, mr_prop, _ = _eval_rescorer(pipeline, IdentityRescorer(), blend="none")
+    prop_dets, mr_prop, _ = _eval_rescorer(pipeline, None)
     rc = recall_vs_iou(prop_dets, pipeline["test_frames"])
     recall = float(rc.y[0])
     avg_props = float(rc.meta["avg_proposals_per_image"])

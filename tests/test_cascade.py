@@ -14,7 +14,6 @@ from pedcascade.cascade import (
     CascadeConfig,
     CascadeError,
     CascadeTrainConfig,
-    IdentityRescorer,
     NetRescorer,
     SvmRescorer,
     TimingReport,
@@ -32,13 +31,18 @@ from pedcascade.convnet import (
 from pedcascade.data import BatchRatio, BatchSampler, extract_window, jittered_negatives
 from pedcascade.forest import (detect, default_candidate_rects, filter_proposals,
                                forest_to_json, train_forest)
-from pedcascade.geometry import nms
+
+from test_geometry import nms_detections
+
+
+def identity(windows, scores):
+    return scores
 
 
 def base_config(forest, **kw):
     defaults = dict(
         proposal_model=forest,
-        rescorer=IdentityRescorer(),
+        rescorer=identity,
         sliding=TINY_SLIDING,
         geometry=TINY_GEOM,
     )
@@ -47,10 +51,6 @@ def base_config(forest, **kw):
 
 
 class TestConfigValidation:
-    def test_bad_blend(self, tiny_forest):
-        with pytest.raises(ValueError):
-            base_config(tiny_forest, score_blend="mix")
-
     def test_bad_filter_avg(self, tiny_forest):
         with pytest.raises(ValueError):
             base_config(tiny_forest, proposal_filter_avg=0.0)
@@ -70,7 +70,7 @@ class TestTimingReport:
         assert not r.consistent(n_images=2)
 
     def test_empty_run_report(self):
-        out, report = run_cascade([], CascadeConfig(None, IdentityRescorer()))
+        out, report = run_cascade([], CascadeConfig(None, None))
         assert out == {}
         assert report.consistent(0)
         assert report.windows_scored == 0
@@ -104,20 +104,29 @@ class TestRunCascade:
         proposals = [detect(img, tiny_forest, TINY_SLIDING) for _, img in images]
         _, filtered = filter_proposals(proposals, cfg.proposal_filter_avg)
         for (fid, _), dets in zip(images, filtered):
-            assert out[fid] == nms(dets, cfg.final_nms_iou)
+            assert out[fid] == nms_detections(dets, cfg.final_nms_iou)
         assert report.consistent(len(images))
-        assert report.windows_scored == sum(len(v) for v in out.values()) or True
+        assert report.windows_scored == sum(map(len, filtered))
 
-    def test_blend_none_skips_rescoring(self, tiny_world, tiny_forest):
+    def test_no_rescorer_skips_rescoring(self, tiny_world, tiny_forest, monkeypatch):
         images, _ = tiny_world
 
-        def exploding(wins, scores):  # pragma: no cover - must not run
-            raise AssertionError("rescorer called despite blend none")
+        def exploding(*args):  # pragma: no cover - must not run
+            raise AssertionError("window extracted without a rescorer")
 
-        cfg = base_config(tiny_forest, rescorer=exploding, score_blend="none")
-        out, report = run_cascade(images, cfg)
+        monkeypatch.setattr(cascade_module, "extract_window", exploding)
+        out, report = run_cascade(images, base_config(tiny_forest, rescorer=None))
         assert report.windows_scored == 0
         assert any(out.values())
+
+    def test_nan_rescore_is_a_value_error(self, tiny_world, tiny_forest):
+        images, _ = tiny_world
+
+        def nan(wins, scores):
+            return np.full(len(scores), np.nan)
+
+        with pytest.raises(ValueError, match="non-finite"):
+            run_cascade(images, base_config(tiny_forest, rescorer=nan))
 
     def test_rescoring_keeps_geometry(self, tiny_world, tiny_forest):
         images, _ = tiny_world
@@ -192,8 +201,7 @@ class TestTrainCascade:
             forest_negatives_per_frame=6,
         )
         cascade = train_cascade(images, frames, cfg)
-        assert isinstance(cascade.rescorer, IdentityRescorer)
-        assert cascade.score_blend == "none"
+        assert cascade.rescorer is None
         out, report = run_cascade(images, cascade)
         assert report.consistent(len(images))
         # the proposal stage should find most of the easy figures

@@ -562,3 +562,49 @@ def test_manifest_records_the_net(tmp_path, detect_inputs, capsys, command):
     assert run(["--out-dir", tmp_path, command] + args) == EXIT_OK
     manifest = json.loads((tmp_path / f"manifest_{command}.json").read_text())
     assert set(manifest["input_hashes"]) == {str(model_path), str(net_path)}
+
+
+@pytest.mark.parametrize("command, values, config, code", [
+    ("train-forest", ["--trees", "0"], None, EXIT_USAGE),
+    ("train-forest", ["--negatives-per-frame", "-3"], None, EXIT_USAGE),
+    ("train-forest", ["--channels", "FOO"], None, EXIT_USAGE),
+    ("train-forest", [], {"channels": "FOO"}, EXIT_DATA),
+    ("train-forest", [], {"trees": 0}, EXIT_DATA),
+    ("detect", ["--proposals-avg", "0"], None, EXIT_USAGE),
+    ("compile-forest", ["--verify", "--samples", "0"], None, EXIT_USAGE),
+    ("compile-forest", ["--net-out", "n.bin", "--sharpness", "0"], None, EXIT_USAGE),
+    ("train-net", ["--ratio", "1:0"], None, EXIT_USAGE),
+    ("train-net", ["--ratio", "abc"], None, EXIT_USAGE),
+])
+def test_out_of_range_value_writes_nothing(tmp_path, detect_inputs, tiny_world, capsys,
+                                           command, values, config, code):
+    """A flag value out of range is a usage error (exit 1); the same value in
+    a config file is a data error naming the file (exit 2).  Either way no
+    file is written."""
+    images_dir, model_path, _ = detect_inputs
+    out = tmp_path / "out"
+    ann = tmp_path / "ann.json"
+    ann.write_text(json.dumps(annotations_to_json(tiny_world[1][:3])))
+    props = tmp_path / "props.json"
+    props.write_text(json.dumps(detections_to_json({})))
+    args = {
+        "train-forest": ["--images", images_dir, "--annotations", ann,
+                         "--model-out", out / "forest.json"],
+        "detect": ["--images", images_dir, "--model", model_path, "--dets-out", out / "d.json"],
+        "compile-forest": ["--model", model_path],
+        "train-net": ["--images", images_dir, "--annotations", ann, "--proposals", props,
+                      "--net-out", out / "net.bin"],
+    }[command]
+    values = [out / v if v.endswith(".bin") else v for v in values]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"version": 1, **config}))
+        values = ["--config", cfg_path]
+    capsys.readouterr()
+    assert run(["--out-dir", out, command] + args + values) == code
+    err = capsys.readouterr().err
+    if config is None:
+        assert err.startswith("error: argument " + values[-2])
+    else:
+        assert err.startswith("data error:") and str(cfg_path) in err
+    assert not out.exists()

@@ -28,7 +28,7 @@ from pedcascade.forest import (
     split_nodes,
     train_forest,
 )
-from pedcascade.geometry import Box, Detection
+from pedcascade.geometry import Box, Detection, nms
 
 
 WIN = (32, 16)
@@ -461,6 +461,29 @@ class TestDetectPitch:
         assert pitches == {1}
         assert sum(map(len, dets)) > 0 and dets == want
         assert dets != self.detect_with_pitches(monkeypatch, images, tiny_forest)[0]
+
+
+class TestDetectOutput:
+    def test_builds_detections_only_for_survivors(self, tiny_world, tiny_forest, monkeypatch):
+        """Every window above threshold enters NMS as an array row; only the
+        rows NMS keeps become Detection objects."""
+        built, rows = [], []
+
+        def counting(*args):
+            built.append(Detection(*args))
+            return built[-1]
+
+        def nms_spy(boxes, scores, thr):
+            rows.append(len(boxes))
+            return nms(boxes, scores, thr)
+
+        monkeypatch.setattr(forest_module, "Detection", counting)
+        monkeypatch.setattr(forest_module, "nms", nms_spy)
+        dets = detect(tiny_world[0][0][1], tiny_forest, TINY_SLIDING)
+        assert dets == built and 0 < len(dets) < rows[0]
+
+    def test_image_below_the_coarsest_scale_has_no_detections(self, tiny_forest):
+        assert detect(np.zeros((10, 10, 3)), tiny_forest, TINY_SLIDING) == []
 
 
 class TestPyramid:

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import TINY_SLIDING
 from pedcascade import forest
-from pedcascade.geometry import Box, Detection, iou, iou_matrix, match_detections, nms
+from pedcascade.geometry import (Box, Detection, box_array, iou, iou_matrix, match_detections,
+                                 nms)
 
 
 def brute_iou(a: Box, b: Box) -> float:
@@ -23,6 +24,12 @@ def brute_iou(a: Box, b: Box) -> float:
     inter = (right - left) * (bottom - top)
     union = (a_right - a.x) * (a_bottom - a.y) + (b_right - b.x) * (b_bottom - b.y) - inter
     return inter / union
+
+
+def nms_detections(dets, thr):
+    """The detections geometry.nms keeps, in its order."""
+    keep = nms(box_array([d.box for d in dets]), np.array([d.score for d in dets]), thr)
+    return [dets[i] for i in keep]
 
 
 def brute_nms(dets, thr):
@@ -84,6 +91,15 @@ def random_dets(rng, n, span=200.0):
         )
         out.append(Detection(b, float(rng.normal())))
     return out
+
+
+def grid_dets(rng, n, span=6):
+    """Detections on small integer grids, so scores, x and y tie and many
+    pairs overlap at the same IoU."""
+    return [Detection(Box(*(float(v) for v in rng.integers(0, span, 2)),
+                          *(float(v) for v in rng.integers(2, 2 + span, 2))),
+                      float(rng.integers(0, 3)))
+            for _ in range(n)]
 
 
 class TestBox:
@@ -149,25 +165,43 @@ class TestIou:
 
 class TestNms:
     def test_empty(self):
-        assert nms([], 0.5) == []
+        assert nms_detections([], 0.5) == []
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
-            nms([], 1.5)
+            nms_detections([], 1.5)
+
+    @pytest.mark.parametrize("row, score", [
+        ((0, 0, 0, 10), 1.0),
+        ((0, 0, 5, -1), 1.0),
+        ((0, 0, -1, -1), 1.0),  # positive corner area
+        ((1e17, 0, 1, 1), 1.0),  # corner area 0: IoU 0/0
+        ((np.nan, 0, 1, 1), 1.0),
+        ((0, 0, np.inf, 1), 1.0),
+        ((0, 0, 1, 1), np.inf),
+    ])
+    def test_rejects_what_box_and_detection_reject(self, row, score):
+        boxes = np.array([(0.0, 0.0, 1.0, 1.0), row])
+        with pytest.raises(ValueError, match="non-finite value, or box extent"):
+            nms(boxes, np.array([0.0, score]), 0.5)
+
+    def test_rejects_misshapen_input(self):
+        with pytest.raises(ValueError, match="need"):
+            nms(np.ones((2, 4)), np.zeros(3), 0.5)
 
     def test_single_survives(self):
         d = [Detection(Box(0, 0, 10, 10), 1.0)]
-        assert nms(d, 0.5) == d
+        assert nms_detections(d, 0.5) == d
 
     def test_suppresses_heavy_overlap(self):
         keep = Detection(Box(0, 0, 10, 10), 2.0)
         drop = Detection(Box(1, 1, 10, 10), 1.0)
-        assert nms([drop, keep], 0.5) == [keep]
+        assert nms_detections([drop, keep], 0.5) == [keep]
 
     def test_iou_exactly_at_threshold_survives(self):
         a = Detection(Box(0, 0, 1, 1), 2.0)
         b = Detection(Box(0.5, 0, 1, 1), 1.0)  # IoU = 1/3 exactly
-        out = nms([a, b], 1.0 / 3.0)
+        out = nms_detections([a, b], 1.0 / 3.0)
         assert len(out) == 2
 
     def test_matches_brute_force(self):
@@ -175,7 +209,11 @@ class TestNms:
         for trial in range(100):
             dets = random_dets(rng, int(rng.integers(0, 30)))
             thr = float(rng.uniform(0.1, 0.9))
-            assert nms(dets, thr) == brute_nms(dets, thr)
+            assert nms_detections(dets, thr) == brute_nms(dets, thr)
+        for trial in range(100):  # tied scores, x and y; IoU exactly at the threshold
+            dets = grid_dets(rng, int(rng.integers(0, 30)))
+            thr = float(rng.choice([0.0, 0.25, 1 / 3, 0.5, 1.0]))
+            assert nms_detections(dets, thr) == brute_nms(dets, thr)
 
     def test_matches_brute_force_on_detector_windows(self, tiny_world, tiny_forest,
                                                      monkeypatch):
@@ -183,25 +221,36 @@ class TestNms:
         shift across three strides of extent), where a second IoU formula
         rounds otherwise than the one NMS reads.  The windows above the
         finest pyramid level keep the quadratic oracle fast."""
-        calls = []
+        calls, above = [], []
 
-        def spy(dets, thr):
-            calls.append((list(dets), thr))
-            return nms(dets, thr)
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return nms(*args, **kwargs)
 
+        def grid_spy(*args):
+            out = score_window_grid(*args)
+            above.append(int(np.count_nonzero(out[0] > TINY_SLIDING.score_threshold)))
+            return out
+
+        score_window_grid = forest.score_window_grid
         monkeypatch.setattr(forest, "nms", spy)
+        monkeypatch.setattr(forest, "score_window_grid", grid_spy)
         forest.detect(tiny_world[0][0][1], tiny_forest, TINY_SLIDING)
-        ((dets, thr),) = calls
+        # the benchmark's contract: one positional call per detect, whose
+        # first argument has one row per window above threshold
+        (((boxes, scores, thr), kwargs),) = calls
+        assert kwargs == {} and len(boxes) == sum(above)
+        dets = [Detection(Box(*b), s) for b, s in zip(boxes.tolist(), scores.tolist())]
         finest = min(d.box.h for d in dets)
         coarse = [d for d in dets if d.box.h > finest]
         boxes = [d.box for d in coarse]
         assert np.any(iou_matrix(boxes, boxes) == 0.5)
-        assert nms(coarse, thr) == brute_nms(coarse, thr)
+        assert nms_detections(coarse, thr) == brute_nms(coarse, thr)
 
     def test_output_scores_descending(self):
         rng = np.random.default_rng(5)
         dets = random_dets(rng, 40)
-        out = nms(dets, 0.4)
+        out = nms_detections(dets, 0.4)
         scores = [d.score for d in out]
         assert scores == sorted(scores, reverse=True)
 
@@ -238,10 +287,12 @@ class TestMatchDetections:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
-        for trial in range(100):
-            dets = random_dets(rng, int(rng.integers(0, 15)), span=100)
-            gt = [d.box for d in random_dets(rng, int(rng.integers(0, 8)), span=100)]
-            ign = [d.box for d in random_dets(rng, int(rng.integers(0, 4)), span=100)]
+        for trial in range(200):
+            draw = random_dets if trial < 100 else grid_dets  # then tied scores, x and y
+            span = 100 if trial < 100 else 6
+            dets = draw(rng, int(rng.integers(0, 15)), span=span)
+            gt = [d.box for d in draw(rng, int(rng.integers(0, 8)), span=span)]
+            ign = [d.box for d in draw(rng, int(rng.integers(0, 4)), span=span)]
             res = match_detections(dets, gt, ign, 0.5)
             pairs, unmatched, ignored = brute_match(dets, gt, ign, 0.5)
             assert res.pairs == pairs
