@@ -110,6 +110,8 @@ def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
     cfg = json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise DataError(f"{path}: config must be a JSON object, got {type(cfg).__name__}")
     if cfg.get("version") != CONFIG_FILE_VERSION:
         raise DataError(f"{path}: unsupported config version {cfg.get('version')!r}")
     return cfg
@@ -399,9 +401,9 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="generate a synthetic dataset")
-    s.add_argument("--frames", type=int, default=50)
-    s.add_argument("--height", type=int, default=240)
-    s.add_argument("--width", type=int, default=320)
+    s.add_argument("--frames", type=_POSITIVE_INT, default=50)
+    s.add_argument("--height", type=_POSITIVE_INT, default=240)
+    s.add_argument("--width", type=_POSITIVE_INT, default=320)
     s.add_argument("--clutter", type=float, default=2.0)
     s.add_argument("--noise", type=float, default=0.01)
     s.add_argument("--seed", type=int, default=0)

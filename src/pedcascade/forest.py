@@ -22,6 +22,12 @@ OBJECT_EXTENT_RATIO = 0.75
 
 N_THRESHOLD_QUANTILES = 256
 
+# Keys per stump-search block: one block's 2**17 int32 keys (512 KB) stay in
+# L2 through its bincount, cumsums and argmins, and no f x n temporary of keys
+# or weights is built.
+# Blocks of 32 to 128 features at n = 1500 timed within noise of each other.
+STUMP_BLOCK_KEYS = 2 ** 17
+
 
 @dataclass(frozen=True)
 class SplitNode:
@@ -190,21 +196,22 @@ def forest_scores(model: ForestModel, decisions: np.ndarray) -> np.ndarray:
 
 
 class _StumpSearch:
-    """Shared quantized-threshold search over all candidate features."""
+    """Shared quantized-threshold search over all candidate features,
+    run over n samples one block of max(1, STUMP_BLOCK_KEYS // n) features
+    at a time."""
 
     def __init__(self, X: np.ndarray):
         n, self.f = X.shape
+        k = N_THRESHOLD_QUANTILES
+        if self.f * (k + 1) > np.iinfo(np.int32).max:  # bounds every key
+            raise ValueError(f"too many candidate features for the stump search: {self.f}")
         lo = X.min(axis=0)
         hi = X.max(axis=0)
-        k = N_THRESHOLD_QUANTILES
         # k thresholds uniformly spanning each feature's empirical range.
         self.thresholds = lo[None, :] + (hi - lo)[None, :] * (np.arange(k) / (k - 1))[:, None]
         # keys[f, i] = f * (k + 1) + the number of thresholds strictly below
         # X[i, f]; feature-major, so each histogram bin adds its samples in
         # ascending order
-        self.size = self.f * (k + 1)  # one histogram of every feature
-        if 4 * self.size > np.iinfo(np.int32).max:
-            raise ValueError(f"too many candidate features for the stump search: {self.f}")
         self.keys = np.empty((self.f, n), dtype=np.int32)
         for j in range(self.f):
             self.keys[j] = np.searchsorted(self.thresholds[:, j], X[:, j], side="left")
@@ -219,37 +226,54 @@ class _StumpSearch:
         puts sample i on side int(side[i]).  Returns one (feature, threshold,
         polarity, error) per side, None for an empty side.  Polarity +1
         predicts positive where the normalized sum exceeds the threshold.
-        One bincount fills the positive and negative histograms of every
-        side at once.
+
+        One bincount per block of features fills the side x class histograms
+        of that block; a running minimum per side and polarity, replaced
+        only by a strictly lower one, keeps the first (feature, threshold)
+        of the minimum error, as one search over all features would.
         """
         k = N_THRESHOLD_QUANTILES
         n_sides = 1 if side is None else 2
         group = (y < 0).astype(np.int32)
         if side is not None:
             group += 2 * side.astype(np.int32)
-        keys = self.keys + (group * np.int32(self.size))[None, :]
-        hist = np.bincount(keys.ravel(), weights=np.broadcast_to(w, keys.shape).ravel(),
-                           minlength=2 * n_sides * self.size)
-        hist = hist.reshape(n_sides, 2, self.f, k + 1)
-        out: List[Optional[tuple]] = []
+        totals = []  # (positive, negative) weight per side, None if empty
         for s in range(n_sides):
             mask = slice(None) if side is None else side == bool(s)
             ws, ys = w[mask], y[mask]
-            if ws.size == 0:
+            totals.append(None if ws.size == 0 else
+                          (float(np.sum(ws * (ys > 0))), float(np.sum(ws * (ys < 0)))))
+        # best[s][0 for polarity +1, 1 for -1] = (error, feature, threshold index)
+        best = [[(math.inf, 0, 0)] * 2 for _ in range(n_sides)]
+        step = max(1, STUMP_BLOCK_KEYS // len(w))
+        for a in range(0, self.f, step):
+            b = min(a + step, self.f)
+            block = (b - a) * (k + 1)
+            keys = self.keys[a:b] + (group * np.int32(block) - np.int32(a * (k + 1)))
+            hist = np.bincount(keys.ravel(), weights=np.broadcast_to(w, keys.shape).ravel(),
+                               minlength=2 * n_sides * block)
+            hist = hist.reshape(n_sides, 2, b - a, k + 1)
+            for s, tot in enumerate(totals):
+                if tot is None:
+                    continue
+                p_tot, n_tot = tot
+                cp = np.cumsum(hist[s, 0], axis=1)[:, :k]  # pos weight with value <= threshold_k
+                cn = np.cumsum(hist[s, 1], axis=1)[:, :k]
+                err_pos = cp + (n_tot - cn)  # polarity +1: predict + above the threshold
+                err_neg = (p_tot + n_tot) - err_pos
+                for p, err in enumerate((err_pos, err_neg)):
+                    i = int(np.argmin(err))
+                    e = float(err.flat[i])
+                    if e < best[s][p][0]:
+                        best[s][p] = (e, a + i // k, i % k)
+        out: List[Optional[tuple]] = []
+        for s, tot in enumerate(totals):
+            if tot is None:
                 out.append(None)
                 continue
-            cp = np.cumsum(hist[s, 0], axis=1)[:, :k]  # pos weight with value <= threshold_k
-            cn = np.cumsum(hist[s, 1], axis=1)[:, :k]
-            p_tot = float(np.sum(ws * (ys > 0)))
-            n_tot = float(np.sum(ws * (ys < 0)))
-            err_pos = cp + (n_tot - cn)  # polarity +1: predict + above the threshold
-            err_neg = (p_tot + n_tot) - err_pos
-            if err_pos.min() <= err_neg.min():
-                err, pol = err_pos, +1
-            else:
-                err, pol = err_neg, -1
-            fi, ki = np.unravel_index(np.argmin(err), err.shape)
-            out.append((int(fi), float(self.thresholds[ki, fi]), pol, float(err[fi, ki])))
+            pol = +1 if best[s][0][0] <= best[s][1][0] else -1
+            e, fi, ki = best[s][0 if pol > 0 else 1]
+            out.append((fi, float(self.thresholds[ki, fi]), pol, e))
         return out
 
 

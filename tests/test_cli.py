@@ -73,6 +73,14 @@ class TestSynth:
         assert a == b
 
 
+    @pytest.mark.parametrize("flag", ["--frames", "--height", "--width"])
+    def test_zero_size_is_a_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        assert run(["--out-dir", out, "synth", flag, "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: argument {flag}")
+        assert not out.exists()
+
+
 class TestTrainForest:
     def test_writes_the_library_forest(self, tmp_path, capsys):
         assert run(["--out-dir", tmp_path, "synth", "--frames", "3", "--height", "120",
@@ -607,4 +615,26 @@ def test_out_of_range_value_writes_nothing(tmp_path, detect_inputs, tiny_world, 
         assert err.startswith("error: argument " + values[-2])
     else:
         assert err.startswith("data error:") and str(cfg_path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-forest", "train-net", "sweep"])
+@pytest.mark.parametrize("config", [[1], "x", None, 3])
+def test_non_object_config_is_a_data_error(tmp_path, capsys, command, config):
+    """A config file holding anything but a JSON object is a data error
+    naming the file (exit 2), and nothing is written."""
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    missing = tmp_path / "missing"
+    args = {
+        "train-forest": ["--images", missing, "--annotations", missing,
+                         "--model-out", out / "forest.json"],
+        "train-net": ["--images", missing, "--annotations", missing, "--proposals", missing,
+                      "--net-out", out / "net.bin"],
+        "sweep": [],
+    }[command]
+    assert run(["--out-dir", out, command, "--config", cfg_path] + args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(cfg_path) in err and "JSON object" in err
     assert not out.exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pedcascade.channels import ChannelConfig, ChannelStack, compute_channels
 from pedcascade.forest import (
     ForestModel,
     N_THRESHOLD_QUANTILES,
+    STUMP_BLOCK_KEYS,
     SlidingWindowConfig,
     SplitNode,
     Tree2,
@@ -209,6 +211,64 @@ class TestStumpSearch:
             idx = np.flatnonzero(side == s)
             want.append(two_bincount_best_stump(search, idx, w[idx], y[idx]) if idx.size else None)
         assert search.best_stumps(w, y, side) == want
+
+    @pytest.mark.parametrize("layout", ["tiled", "boundary"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_blocks_match_two_bincount_oracle(self, seed, layout):
+        """Several feature blocks: equal minima in different blocks must
+        resolve to the first feature, as one search over all features does."""
+        rng = np.random.default_rng(seed)
+        n, f = 2000, 300
+        step = max(1, STUMP_BLOCK_KEYS // n)
+        assert 3 * step < f  # at least four blocks
+        y = np.where(rng.random(n) < 0.4, 1.0, -1.0)
+        if layout == "tiled":
+            # every block holds copies of the same seven columns, one constant
+            base = rng.random((n, 7))
+            base[:, 3] = 0.25
+            base[:, 5] = (y > 0) * 0.5 + rng.random(n) * 0.6  # informative
+            X = base[:, np.arange(f) % 7]
+        else:
+            X = rng.random((n, f))
+            informative = (y > 0) * 0.5 + rng.random(n) * 0.6
+            for j in (step - 1, step, 3 * step + 2):  # last of block 0, first of block 1
+                X[:, j] = informative
+            X[:, 2 * step - 1] = X[:, 2 * step] = 0.5  # constant across a boundary
+        w = rng.random(n) + 1e-3
+        w /= w.sum()
+        side = X[:, 1] > 0.5
+        search = _StumpSearch(X)
+        root = two_bincount_best_stump(search, np.arange(n), w, y)
+        assert search.best_stumps(w, y) == [root]
+        want = []
+        for s in (False, True):
+            idx = np.flatnonzero(side == s)
+            want.append(two_bincount_best_stump(search, idx, w[idx], y[idx]))
+        assert search.best_stumps(w, y, side) == want
+        if layout == "boundary":
+            assert root[0] == step - 1  # the tie with the next block's first column
+
+    def test_call_builds_no_feature_by_sample_temporary(self):
+        """A two-sided call's numpy temporaries stay below half the size of
+        one f x n float64 array."""
+        rng = np.random.default_rng(5)
+        n, f = 2000, 1000
+        search = _StumpSearch(rng.random((n, f)))
+        y = np.where(rng.random(n) < 0.3, 1.0, -1.0)
+        w = np.full(n, 1.0 / n)
+        side = rng.random(n) < 0.5
+        tracemalloc.start()
+        try:
+            search.best_stumps(w, y, side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < f * n * 8 / 2
+
+    def test_int32_keys_bound_the_feature_count(self):
+        f = np.iinfo(np.int32).max // (N_THRESHOLD_QUANTILES + 1) + 1
+        with pytest.raises(ValueError, match="too many candidate features"):
+            _StumpSearch(np.broadcast_to(0.0, (1, f)))
 
     def test_agrees_with_exhaustive_search(self):
         rng = np.random.default_rng(2)
