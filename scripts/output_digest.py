@@ -19,6 +19,22 @@ digest per line for:
 Run it at two commits and compare the lines; equal digests mean equal
 bytes.  It reuses the benchmark's workload definitions read-only.
 
+Every area-normalised rectangle read goes through `channels.pooled`; each
+line pins it on one path and integral pitch:
+
+  model             the training feature matrix
+                    (`forest.compute_feature_matrix`) at pitch 8 (and,
+                    through the net's training proposals, the split-node
+                    decisions at pitch 8)
+  detect            the split-node decisions (`forest.node_decisions`) over
+                    the window grid at pitch 4
+  detect.dense,     the split-node decisions at pitch 8
+  run_cascade
+  verify            `CompiledNet.pooled_features` at pitch 1 (and the
+                    split-node decisions at the origins it samples)
+
+detect.filtered follows from detect.
+
 Usage: python3 scripts/output_digest.py --seed 1
 """
 

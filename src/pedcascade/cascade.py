@@ -97,6 +97,8 @@ class CascadeConfig:
     def __post_init__(self):
         if self.proposal_filter_avg <= 0:
             raise ValueError("proposal_filter_avg must be > 0")
+        if not 0.0 <= self.final_nms_iou <= 1.0:
+            raise ValueError(f"final_nms_iou must be in [0,1], got {self.final_nms_iou}")
 
 
 @dataclass
@@ -219,7 +221,7 @@ def _random_negatives(n, img, ann, geom, cfg: CascadeTrainConfig, rng):
     """n random boxes of at least cfg.sliding.min_height, kept when below
     cfg.policy.neg_iou with every GT box."""
     cand = random_boxes(n, (img.height, img.width), rng, geom,
-                        min_height=max(1, int(cfg.sliding.min_height)))
+                        min_height=int(cfg.sliding.min_height))
     best = iou_matrix(cand, ann.gt_boxes).max(axis=1, initial=0.0)
     return [b for b, o in zip(cand, best) if o < cfg.policy.neg_iou]
 

@@ -4,7 +4,7 @@ integral images for O(1) rectangular sums."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -226,35 +226,61 @@ def compute_channels(img: Union[Image, np.ndarray], cfg: ChannelConfig,
     return ChannelStack(planes, pitch)
 
 
-def pooling_regions(regions: Sequence[Tuple[int, Box]]) -> Tuple[np.ndarray, ...]:
-    """(channel, x, y, w, h) integer arrays of (channel, Box) pooling regions,
-    coordinates rounded to whole pixels and extents at least one pixel."""
+class PoolingRegions(NamedTuple):
+    """(channel, Box) pooling regions as arrays, read from integrals at
+    `pitch`: channel, then x, y, w and h in that pitch's corner units
+    (pixels divided by it), then the float64 pixel area."""
+
+    pitch: int
+    channel: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    area: np.ndarray
+
+
+def pooling_regions(regions: Sequence[Tuple[int, Box]], pitch: int = 1) -> PoolingRegions:
+    """The (channel, Box) pooling regions read at integral pitch `pitch`,
+    coordinates rounded to whole pixels and extents at least one pixel;
+    ValueError unless each coordinate is a multiple of the pitch."""
     a = np.rint(np.array([(c, r.x, r.y, r.w, r.h) for c, r in regions],
                          dtype=np.float64).reshape(-1, 5)).astype(np.intp)
     a[:, 3:] = np.maximum(a[:, 3:], 1)
-    return tuple(a.T)
+    if np.any(a[:, 1:] % pitch):
+        raise ValueError(f"coordinates are not multiples of the integral pitch {pitch}")
+    ch, x, y, w, h = a.T.copy()  # contiguous rows: rect_sums indexes faster with them
+    return PoolingRegions(pitch, ch, x // pitch, y // pitch, w // pitch, h // pitch,
+                          (w * h).astype(np.float64))
 
 
 def region_pitch(regions: Sequence[Tuple[int, Box]], *extra: int) -> int:
     """The largest integral pitch that reads every (channel, Box) pooling
     region: the gcd of their x, y, w and h, as pooling_regions rounds them,
     and of any extra integers, such as a window stride."""
-    _, *coords = pooling_regions(regions)
-    return int(np.gcd.reduce(np.concatenate([np.asarray(extra, dtype=np.intp), *coords])))
+    x_y_w_h = pooling_regions(regions)[2:6]
+    return int(np.gcd.reduce(np.concatenate([np.asarray(extra, dtype=np.intp), *x_y_w_h])))
 
 
-def on_pitch(pitch: int, *coords):
-    """Integer coordinates, or arrays of them, divided by an integral pitch;
-    ValueError unless each is a multiple of it."""
-    if any(np.any(np.asarray(c) % pitch) for c in coords):
-        raise ValueError(f"coordinates are not multiples of the integral pitch {pitch}")
-    return tuple(c // pitch for c in coords)
+def pooled(regions: PoolingRegions, integrals: np.ndarray, ox=0, oy=0) -> np.ndarray:
+    """Area-normalised sums of pooling regions over integrals at their pitch,
+    in a new array, for windows at origins (ox, oy) in its corner units.
+
+    ox and oy broadcast together, and trailing axes of `integrals` (a
+    window-grid view) follow theirs: the result has shape (n_regions,) +
+    their broadcast shape + those trailing axes.
+    """
+    origin_axes = (1,) * np.broadcast(ox, oy).ndim
+    rects = (a.reshape((-1,) + origin_axes) for a in regions[1:6])
+    s = rect_sums(integrals, *rects, ox, oy)
+    s /= regions.area.reshape((-1,) + (1,) * (s.ndim - 1))
+    return s
 
 
 def rect_sums(integrals: np.ndarray, channel, x, y, w, h, ox=0, oy=0):
     """Rectangle sums over an integral array whose leading axes are
     (C, H+1, W+1), in that array's corner units (pixels divided by its
-    pitch, see on_pitch).
+    pitch, see pooling_regions).
 
     Rectangle (x, y, w, h) of plane `channel` is read at window origin
     (ox, oy).  All arguments after `integrals` are integers or integer arrays
@@ -289,4 +315,4 @@ def rect_sum(stack: ChannelStack, channel: int, r: Box) -> float:
         raise ValueError(f"rectangle must be integer-aligned: {r}")
     if xi < 0 or yi < 0 or xi + wi > stack.width or yi + hi > stack.height:
         raise ValueError(f"rectangle out of bounds: {r}")
-    return float(rect_sums(stack.integrals, channel, *on_pitch(stack.pitch, xi, yi, wi, hi)))
+    return float(rect_sums(stack.integrals, *pooling_regions([(channel, r)], stack.pitch)[1:6])[0])

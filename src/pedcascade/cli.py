@@ -88,6 +88,9 @@ def _checked(convert, ok, what: str):
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "a positive integer")
 _NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "a non-negative finite number")
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_UNIT = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 
 
 def _ratio(text: str) -> Optional[BatchRatio]:
@@ -273,7 +276,7 @@ def _cmd_train_net(args) -> int:
         spec = default_cifarnet(input_channels=images[0][1].planes,
                                 input_hw=WindowGeometry().window, **cfgfile.get("net", {}))
     except (TypeError, ValueError) as exc:
-        raise DataError(f"{args.config or '--epochs/--batch'}: bad config ({exc})") from exc
+        raise DataError(f"{args.config}: bad config ({exc})") from exc
     cfg = CascadeTrainConfig(policy=LabelingPolicy(neg_source=args.neg_source), ratio=args.ratio,
                              net_train=tc, net_spec=spec, seed=args.seed)
     _write_manifest(args, "train-net", {"train": vars(tc), "ratio": args.ratio and vars(args.ratio)},
@@ -404,8 +407,8 @@ def build_parser() -> _Parser:
     s.add_argument("--frames", type=_POSITIVE_INT, default=50)
     s.add_argument("--height", type=_POSITIVE_INT, default=240)
     s.add_argument("--width", type=_POSITIVE_INT, default=320)
-    s.add_argument("--clutter", type=float, default=2.0)
-    s.add_argument("--noise", type=float, default=0.01)
+    s.add_argument("--clutter", type=_NON_NEGATIVE, default=2.0)
+    s.add_argument("--noise", type=_NON_NEGATIVE, default=0.01)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_synth)
 
@@ -438,8 +441,8 @@ def build_parser() -> _Parser:
     s.add_argument("--net-out", required=True)
     s.add_argument("--ratio", type=_ratio, default="1:5", help='"pos:neg" or "none"')
     s.add_argument("--neg-source", default="proposals", choices=["proposals", "random"])
-    s.add_argument("--epochs", type=int, default=None)
-    s.add_argument("--batch", type=int, default=None)
+    s.add_argument("--epochs", type=_NON_NEGATIVE_INT, default=None)
+    s.add_argument("--batch", type=_POSITIVE_INT, default=None)
     s.add_argument("--config", default=None)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_train_net)
@@ -451,8 +454,8 @@ def build_parser() -> _Parser:
     s.add_argument("--proposals", required=True)
     s.add_argument("--net", required=True)
     s.add_argument("--svm-out", required=True)
-    s.add_argument("--C", type=float, default=1e-3)
-    s.add_argument("--neg-overlap", type=float, default=0.5)
+    s.add_argument("--C", type=_POSITIVE, default=1e-3)
+    s.add_argument("--neg-overlap", type=_UNIT, default=0.5)
     s.add_argument("--feature-layer", default="fc1")
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_train_svm)
@@ -462,7 +465,7 @@ def build_parser() -> _Parser:
     s.add_argument("--model", required=True)
     s.add_argument("--net", default=None)
     s.add_argument("--dets-out", required=True)
-    s.add_argument("--threshold", type=float, default=0.0)
+    s.add_argument("--threshold", type=_FINITE, default=0.0)
     s.add_argument("--proposals-avg", type=_POSITIVE, default=3.0)
     s.set_defaults(func=_cmd_detect)
 
@@ -476,7 +479,7 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("sweep", help="grid sweep from a JSON config")
     s.add_argument("--config", required=True)
-    s.add_argument("--seeds-per-cell", type=int, default=1)
+    s.add_argument("--seeds-per-cell", type=_POSITIVE_INT, default=1)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_sweep)
 

@@ -12,8 +12,8 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channels import (ChannelConfig, ChannelStack, compute_channels, on_pitch, pooling_regions,
-                       rect_sums, region_pitch)
+from .channels import (ChannelConfig, ChannelStack, PoolingRegions, compute_channels, pooled,
+                       pooling_regions, region_pitch)
 from .geometry import Box, Detection, nms
 from .imageops import Image, bilinear_resize
 
@@ -71,6 +71,11 @@ class ForestModel:
         if len(self.trees) != len(self.tree_weights) or not self.trees:
             raise ValueError("need equally many trees and weights, at least one")
 
+    @property
+    def nodes(self) -> List[SplitNode]:
+        """The 3T split nodes: root, left and right child of each tree in order."""
+        return [n for t in self.trees for n in (t.root, t.left_child, t.right_child)]
+
 
 @dataclass(frozen=True)
 class SlidingWindowConfig:
@@ -85,6 +90,12 @@ class SlidingWindowConfig:
             raise ValueError("stride must be >= 1")
         if self.scale_step <= 1:
             raise ValueError("scale_step must be > 1")
+        if not self.min_height >= 1:
+            raise ValueError("min_height must be >= 1")
+        if math.isnan(self.score_threshold):
+            raise ValueError("score_threshold must not be NaN")
+        if not 0.0 <= self.nms_iou <= 1.0:
+            raise ValueError(f"nms_iou must be in [0,1], got {self.nms_iou}")
 
 
 def default_candidate_rects(
@@ -121,35 +132,22 @@ def compute_feature_matrix(
     if out is None:
         stacks = _sized(stacks)
         out = np.empty((len(stacks), len(candidate_rects)))
-    ch, x, y, w, h = pooling_regions(candidate_rects)
-    area = w * h
     at_pitch = {}
     n = 0
     for n, stack in enumerate(stacks, 1):
         if stack.pitch not in at_pitch:
-            at_pitch[stack.pitch] = on_pitch(stack.pitch, x, y, w, h)
-        np.divide(rect_sums(stack.integrals, ch, *at_pitch[stack.pitch]), area, out=out[n - 1])
+            at_pitch[stack.pitch] = pooling_regions(candidate_rects, stack.pitch)
+        out[n - 1] = pooled(at_pitch[stack.pitch], stack.integrals)
     if n != len(out):
         raise ValueError(f"{n} windows for {len(out)} feature rows")
     return out
 
 
-def _split_node_list(model: ForestModel) -> List[SplitNode]:
-    return [n for t in model.trees for n in (t.root, t.left_child, t.right_child)]
-
-
 class SplitNodes(NamedTuple):
-    """The 3T split nodes of a forest (root, left, right of each tree in
-    order) as arrays: pooling regions in corner units of integrals at
-    `pitch`, and float64 pixel areas, thresholds and polarities."""
+    """The model's split nodes (ForestModel.nodes) as arrays: their pooling
+    regions at an integral pitch, and float64 thresholds and polarities."""
 
-    pitch: int
-    channel: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    w: np.ndarray
-    h: np.ndarray
-    area: np.ndarray
+    regions: PoolingRegions
     threshold: np.ndarray
     polarity: np.ndarray
 
@@ -157,28 +155,18 @@ class SplitNodes(NamedTuple):
 def split_nodes(model: ForestModel, pitch: int = 1) -> SplitNodes:
     """The model's split nodes read at integral pitch `pitch`; ValueError
     unless every split rectangle's coordinates are multiples of it."""
-    nodes = _split_node_list(model)
-    ch, x, y, w, h = pooling_regions([(n.channel, n.rect) for n in nodes])
-    area, thr, pol = (np.array(v, dtype=np.float64) for v in (
-        w * h, [n.threshold for n in nodes], [n.polarity for n in nodes]))
-    return SplitNodes(pitch, ch, *on_pitch(pitch, x, y, w, h), area, thr, pol)
+    nodes = model.nodes
+    thr, pol = (np.array(v, dtype=np.float64) for v in (
+        [n.threshold for n in nodes], [n.polarity for n in nodes]))
+    return SplitNodes(pooling_regions([(n.channel, n.rect) for n in nodes], pitch), thr, pol)
 
 
 def node_decisions(nodes: SplitNodes, integrals: np.ndarray, ox=0, oy=0) -> np.ndarray:
-    """Decisions of all split nodes for windows at origins (ox, oy), in one
-    pooling-kernel call over integrals at the nodes' pitch (origins in its
-    corner units).
-
-    ox and oy broadcast together, and trailing axes of `integrals` (a
-    window-grid view) follow theirs; the result is boolean with shape
-    (3T,) + their broadcast shape + those trailing axes.
-    """
-    origin_axes = (1,) * np.broadcast(ox, oy).ndim
-    regions = (nodes.channel, nodes.x, nodes.y, nodes.w, nodes.h)
-    f = rect_sums(integrals, *(a.reshape((-1,) + origin_axes) for a in regions), ox, oy)
+    """Decisions of all split nodes for windows at origins (ox, oy) in corner
+    units of the nodes' pitch, laid out as `pooled` lays out its sums."""
+    f = pooled(nodes.regions, integrals, ox, oy)
     shape = (-1,) + (1,) * (f.ndim - 1)
-    # in place, the node rule polarity * (sum / area - threshold) > 0
-    f /= nodes.area.reshape(shape)
+    # on from pooled's division, in place: polarity * (sum / area - threshold) > 0
     f -= nodes.threshold.reshape(shape)
     f *= nodes.polarity.reshape(shape)
     return f > 0
@@ -277,13 +265,6 @@ class _StumpSearch:
         return out
 
 
-def _tree_decisions(tree_feat, tree_thr, tree_pol, X):
-    """(d0, d1, d2) boolean arrays for a tree given a feature matrix."""
-    return tuple(
-        p * (X[:, f] - t) > 0 for f, t, p in zip(tree_feat, tree_thr, tree_pol)
-    )
-
-
 def _leaf_index(d0, d1, d2):
     return np.where(d0, 2 + d2.astype(np.intp), d1.astype(np.intp))
 
@@ -336,8 +317,7 @@ def train_forest(
             default_child if s is None else s[:3] for s in search.best_stumps(w, y, d0))
 
         feat, thr, pol = (f0, f1, f2), (t0, t1, t2), (p0, p1, p2)
-        dd0, dd1, dd2 = _tree_decisions(feat, thr, pol, X)
-        leaf_idx = _leaf_index(dd0, dd1, dd2)
+        leaf_idx = _leaf_index(d0, p1 * (X[:, f1] - t1) > 0, p2 * (X[:, f2] - t2) > 0)
         leaves = []
         for li in range(4):
             mask = leaf_idx == li
@@ -401,8 +381,8 @@ def score_window_grid(
         raise ValueError(f"stride {stride} is not a multiple of the integral pitch {g}")
     if nodes is None:
         nodes = split_nodes(model, g)
-    elif nodes.pitch != g:
-        raise ValueError(f"split nodes at pitch {nodes.pitch} for integrals at pitch {g}")
+    elif nodes.regions.pitch != g:
+        raise ValueError(f"split nodes at pitch {nodes.regions.pitch} for integrals at pitch {g}")
     win_h, win_w = model.model_window
     xs = np.arange(0, stack.width - win_w + 1, stride, dtype=np.intp)
     ys = np.arange(0, stack.height - win_h + 1, stride, dtype=np.intp)
@@ -443,7 +423,7 @@ def detect(
     it.
     """
     arr = img.data if isinstance(img, Image) else np.asarray(img, dtype=np.float64)
-    pitch = region_pitch([(n.channel, n.rect) for n in _split_node_list(model)], cfg.stride)
+    pitch = region_pitch([(n.channel, n.rect) for n in model.nodes], cfg.stride)
     nodes = split_nodes(model, pitch)
     win_h, win_w = model.model_window
     margin_x = win_w * (1.0 - OBJECT_EXTENT_RATIO) / 2.0
@@ -576,9 +556,9 @@ def forest_from_json(d: dict) -> ForestModel:
     )
     # every split must pool inside the model window, as scoring reads it
     win_h, win_w = model.model_window
-    ch, x, y, w, h = pooling_regions([(n.channel, n.rect) for n in _split_node_list(model)])
-    if (ch.min() < 0 or ch.max() >= cfg.n_channels or x.min() < 0 or y.min() < 0
-            or (x + w).max() > win_w or (y + h).max() > win_h):
+    r = pooling_regions([(n.channel, n.rect) for n in model.nodes])
+    if (r.channel.min() < 0 or r.channel.max() >= cfg.n_channels or r.x.min() < 0
+            or r.y.min() < 0 or (r.x + r.w).max() > win_w or (r.y + r.h).max() > win_h):
         raise ValueError(f"a split rectangle lies outside the {win_h}x{win_w} model window "
                          f"or its {cfg.n_channels} channels")
     return model

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .channels import ChannelStack, pooling_regions, rect_sums
+from .channels import ChannelStack, pooled, pooling_regions
 from .convnet import FCSpec, NetModel, NetSpec, SigmoidSpec, sigmoid
 from .forest import ForestModel, forest_scores, node_decisions, split_nodes
 from .geometry import Box
@@ -75,39 +75,29 @@ class CompiledNet:
         return scores, z1, z2
 
     def pooled_features(self, stack: ChannelStack, origins: Sequence[Tuple[int, int]]) -> np.ndarray:
-        """(n_origins, F) area-normalized pooling sums for window origins,
-        on a stack at integral pitch 1."""
-        ch, x, y, w, h = pooling_regions(self.features)
+        """(n_origins, F) area-normalized pooling sums for (x, y) window
+        origins in pixels, read at the stack's integral pitch; ValueError
+        unless the origins and the features lie on it."""
+        g = stack.pitch
         o = np.asarray(origins, dtype=np.intp).reshape(-1, 2)
-        return rect_sums(stack.integrals, ch, x, y, w, h, o[:, :1], o[:, 1:]) / (w * h)
+        if np.any(o % g):
+            raise ValueError(f"window origins are not multiples of the integral pitch {g}")
+        regions = pooling_regions(self.features, g)
+        return pooled(regions, stack.integrals, o[:, 0] // g, o[:, 1] // g).T
 
 
 def compile_forest(model: ForestModel) -> CompiledNet:
     """Build the network: layer 1 applies each node's pooled threshold, layer 2
     turns the three node decisions of each tree into a one-hot leaf indicator,
     layer 3 is the weighted sum of leaf values plus the score offset."""
-    feature_index: Dict[Tuple[int, float, float, float, float], int] = {}
-    features: List[Tuple[int, Box]] = []
-
-    def feat_id(channel: int, rect: Box) -> int:
-        key = (channel, rect.x, rect.y, rect.w, rect.h)
-        if key not in feature_index:
-            feature_index[key] = len(features)
-            features.append((channel, rect))
-        return feature_index[key]
-
-    nodes = []
-    for t in model.trees:
-        nodes.extend([t.root, t.left_child, t.right_child])
-    for n in nodes:
-        feat_id(n.channel, n.rect)
+    # the W1 column of each distinct pooling region, in order of first use
+    column = {r: j for j, r in enumerate(dict.fromkeys((n.channel, n.rect) for n in model.nodes))}
 
     T = len(model.trees)
-    F = len(features)
-    W1 = np.zeros((3 * T, F))
+    W1 = np.zeros((3 * T, len(column)))
     b1 = np.zeros(3 * T)
-    for i, n in enumerate(nodes):
-        W1[i, feat_id(n.channel, n.rect)] = float(n.polarity)
+    for i, n in enumerate(model.nodes):
+        W1[i, column[n.channel, n.rect]] = float(n.polarity)
         b1[i] = -float(n.polarity) * n.threshold
 
     W2 = np.zeros((4 * T, 3 * T))
@@ -121,7 +111,7 @@ def compile_forest(model: ForestModel) -> CompiledNet:
         W3[4 * t : 4 * t + 4] = alpha * np.asarray(tree.leaf_values)
 
     return CompiledNet(
-        features=features, W1=W1, b1=b1, W2=W2, b2=b2, W3=W3,
+        features=list(column), W1=W1, b1=b1, W2=W2, b2=b2, W3=W3,
         b3=model.score_offset, model_window=tuple(model.model_window),
     )
 

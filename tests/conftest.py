@@ -16,7 +16,10 @@ from pedcascade.data import (
     random_boxes,
 )
 from pedcascade.forest import (
+    ForestModel,
     SlidingWindowConfig,
+    SplitNode,
+    Tree2,
     default_candidate_rects,
     train_forest,
 )
@@ -28,6 +31,22 @@ TINY_SLIDING = SlidingWindowConfig(
     stride=4, scale_step=2 ** 0.5, min_height=18, score_threshold=-1e9
 )
 TINY_CCFG = ChannelConfig("G_LUV")
+
+
+def aligned_forest(rng, n_trees, cells, pitch, n_channels=3):
+    """A random forest over a window of `cells` (rows, columns) of pitch x
+    pitch pixels whose split rectangles all lie on that grid."""
+    def node():
+        h, w = (int(rng.integers(1, n + 1)) for n in cells)
+        rect = Box(pitch * int(rng.integers(0, cells[1] - w + 1)),
+                   pitch * int(rng.integers(0, cells[0] - h + 1)), pitch * w, pitch * h)
+        return SplitNode(int(rng.integers(0, n_channels)), rect, float(rng.random()),
+                         int(rng.choice([-1, 1])))
+
+    trees = [Tree2(node(), node(), node(), tuple(rng.standard_normal(4))) for _ in range(n_trees)]
+    return ForestModel(trees, list(rng.random(n_trees)), ChannelConfig("RGB"),
+                       (pitch * cells[0], pitch * cells[1]),
+                       score_offset=float(rng.standard_normal()))
 
 
 def draw_figure(img: np.ndarray, box: Box, rng) -> None:

@@ -55,6 +55,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             base_config(tiny_forest, proposal_filter_avg=0.0)
 
+    @pytest.mark.parametrize("iou", [-0.5, 1.5, float("nan")])
+    def test_final_nms_iou_outside_the_unit_interval(self, tiny_forest, iou):
+        with pytest.raises(ValueError, match="final_nms_iou"):
+            base_config(tiny_forest, final_nms_iou=iou)
+
+    @pytest.mark.parametrize("iou", [0.0, 0.5, 1.0])
+    def test_final_nms_iou_in_the_unit_interval(self, tiny_forest, iou):
+        assert base_config(tiny_forest, final_nms_iou=iou).final_nms_iou == iou
+
     def test_bad_rescorer_kind(self):
         with pytest.raises(ValueError):
             CascadeTrainConfig(rescorer_kind="forest")

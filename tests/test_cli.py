@@ -583,6 +583,15 @@ def test_manifest_records_the_net(tmp_path, detect_inputs, capsys, command):
     ("compile-forest", ["--net-out", "n.bin", "--sharpness", "0"], None, EXIT_USAGE),
     ("train-net", ["--ratio", "1:0"], None, EXIT_USAGE),
     ("train-net", ["--ratio", "abc"], None, EXIT_USAGE),
+    ("train-net", ["--epochs", "-3"], None, EXIT_USAGE),
+    ("train-net", ["--batch", "0"], None, EXIT_USAGE),
+    ("detect", ["--threshold", "nan"], None, EXIT_USAGE),
+    ("detect", ["--threshold", "inf"], None, EXIT_USAGE),
+    ("synth", ["--clutter", "-1"], None, EXIT_USAGE),
+    ("synth", ["--noise", "-1"], None, EXIT_USAGE),
+    ("train-svm", ["--C", "-1"], None, EXIT_USAGE),
+    ("train-svm", ["--neg-overlap", "2"], None, EXIT_USAGE),
+    ("sweep", ["--seeds-per-cell", "0"], None, EXIT_USAGE),
 ])
 def test_out_of_range_value_writes_nothing(tmp_path, detect_inputs, tiny_world, capsys,
                                            command, values, config, code):
@@ -595,13 +604,21 @@ def test_out_of_range_value_writes_nothing(tmp_path, detect_inputs, tiny_world, 
     ann.write_text(json.dumps(annotations_to_json(tiny_world[1][:3])))
     props = tmp_path / "props.json"
     props.write_text(json.dumps(detections_to_json({})))
+    rescorer_inputs = ["--images", images_dir, "--annotations", ann, "--proposals", props]
+    if command == "train-svm":
+        save_rescorer(NetRescorer(small_net(), input_mean=0.2), tmp_path / "net.bin")
+    sweep_cfg = tmp_path / "sweep.json"
+    sweep_cfg.write_text(json.dumps({"version": 1, "axes": {"fc_units": [4]}, "task_config": {
+        "task": "net-synth", "frames": 4, "epochs": 1, "window": [32, 16]}}))
     args = {
         "train-forest": ["--images", images_dir, "--annotations", ann,
                          "--model-out", out / "forest.json"],
         "detect": ["--images", images_dir, "--model", model_path, "--dets-out", out / "d.json"],
         "compile-forest": ["--model", model_path],
-        "train-net": ["--images", images_dir, "--annotations", ann, "--proposals", props,
-                      "--net-out", out / "net.bin"],
+        "train-net": rescorer_inputs + ["--net-out", out / "net.bin"],
+        "train-svm": rescorer_inputs + ["--net", tmp_path / "net.bin", "--svm-out", out / "s.bin"],
+        "synth": ["--frames", "2", "--height", "80", "--width", "100"],
+        "sweep": ["--config", sweep_cfg],
     }[command]
     values = [out / v if v.endswith(".bin") else v for v in values]
     if config is not None:

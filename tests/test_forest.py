@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TINY_SLIDING
+from conftest import TINY_SLIDING, aligned_forest
 from pedcascade import forest as forest_module
 from pedcascade.channels import ChannelConfig, ChannelStack, compute_channels
 from pedcascade.forest import (
@@ -81,22 +81,6 @@ def random_forest(rng, n_trees, win, n_channels):
 
     trees = [Tree2(node(), node(), node(), tuple(rng.standard_normal(4))) for _ in range(n_trees)]
     return ForestModel(trees, list(rng.random(n_trees)), ChannelConfig("RGB"), win,
-                       score_offset=float(rng.standard_normal()))
-
-
-def aligned_forest(rng, n_trees, cells, pitch, n_channels=3):
-    """A random forest over a window of `cells` (rows, columns) of pitch x
-    pitch pixels whose split rectangles all lie on that grid."""
-    def node():
-        h, w = (int(rng.integers(1, n + 1)) for n in cells)
-        rect = Box(pitch * int(rng.integers(0, cells[1] - w + 1)),
-                   pitch * int(rng.integers(0, cells[0] - h + 1)), pitch * w, pitch * h)
-        return SplitNode(int(rng.integers(0, n_channels)), rect, float(rng.random()),
-                         int(rng.choice([-1, 1])))
-
-    trees = [Tree2(node(), node(), node(), tuple(rng.standard_normal(4))) for _ in range(n_trees)]
-    return ForestModel(trees, list(rng.random(n_trees)), ChannelConfig("RGB"),
-                       (pitch * cells[0], pitch * cells[1]),
                        score_offset=float(rng.standard_normal()))
 
 
@@ -544,6 +528,23 @@ class TestDetectOutput:
 
     def test_image_below_the_coarsest_scale_has_no_detections(self, tiny_forest):
         assert detect(np.zeros((10, 10, 3)), tiny_forest, TINY_SLIDING) == []
+
+
+class TestSlidingWindowConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("min_height", 0), ("min_height", -10), ("score_threshold", float("nan")),
+        ("nms_iou", -0.1), ("nms_iou", 1.5), ("nms_iou", float("nan")),
+    ])
+    def test_rejects_values_that_give_silent_or_late_failures(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SlidingWindowConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("min_height", 1), ("min_height", 18), ("min_height", 60), ("score_threshold", -1e9),
+        ("nms_iou", 0.0), ("nms_iou", 1.0),
+    ])
+    def test_keeps_the_values_in_use(self, field, value):
+        assert getattr(SlidingWindowConfig(**{field: value}), field) == value
 
 
 class TestPyramid:

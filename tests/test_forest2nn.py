@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TINY_CCFG, TINY_GEOM
+from conftest import TINY_CCFG, TINY_GEOM, aligned_forest
 from pedcascade.channels import ChannelConfig, ChannelStack, compute_channels
 from pedcascade.forest import ForestModel, SplitNode, Tree2, score_window_grid
 from pedcascade.forest2nn import (
@@ -146,6 +146,29 @@ class TestCompiledNetOnWindows:
             grid, xs, ys = score_window_grid(tiny_forest, stack, 4)
             assert (xs[0], ys[0]) == (0, 0)
             assert score == pytest.approx(grid[0, 0], abs=1e-9)
+
+
+class TestPooledFeaturesPitch:
+    """pooled_features reads a stack at its integral pitch."""
+
+    def test_is_the_same_at_every_pitch_of_the_grid(self):
+        rng = np.random.default_rng(12)
+        net = compile_forest(aligned_forest(rng, 4, (8, 4), 8))  # on the 8-pixel grid
+        planes = [rng.random((80, 48)) for _ in range(3)]
+        origins = [(0, 0), (16, 8), (8, 16)]
+        got = [net.pooled_features(ChannelStack(planes, g), origins) for g in (1, 4, 8)]
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+        want = [[planes[c][oy + int(r.y):, ox + int(r.x):][:int(r.h), :int(r.w)].mean()
+                 for c, r in net.features] for ox, oy in origins]
+        assert np.allclose(got[0], want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("pitch, origin", [(4, (2, 0)), (8, (0, 4)), (8, (12, 8))])
+    def test_an_origin_off_the_pitch_is_a_value_error(self, pitch, origin):
+        rng = np.random.default_rng(13)
+        net = compile_forest(aligned_forest(rng, 4, (8, 4), 8))
+        stack = ChannelStack([rng.random((80, 48)) for _ in range(3)], pitch)
+        with pytest.raises(ValueError, match="pitch"):
+            net.pooled_features(stack, [(0, 0), origin])
 
 
 class TestSoften:
