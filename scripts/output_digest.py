@@ -18,6 +18,8 @@ digest per line for:
 
 Run it at two commits and compare the lines; equal digests mean equal
 bytes.  It reuses the benchmark's workload definitions read-only.
+`tests/test_output_digest.py` pins the six lines on seed 1 at a tiny
+scale, through `digests(seed, scale)`.
 
 Every area-normalised rectangle read goes through `channels.pooled`; each
 line pins it on one path and integral pitch:
@@ -59,9 +61,10 @@ from pedcascade import cascade, forest, forest2nn  # noqa: E402
 import workloads  # noqa: E402
 
 
-def digests(seed: int):
-    """(name, hex digest) pairs of the six outputs on one seed."""
-    scale = workloads.Scale()
+def digests(seed: int, scale=None):
+    """(name, hex digest) pairs of the six outputs on one seed, at the
+    benchmark's `workloads.Scale()` unless another scale is given."""
+    scale = workloads.Scale() if scale is None else scale
     (train_pairs, train_frames), (test_pairs, _) = workloads.synth_inputs(scale, seed)
     casc = cascade.train_cascade(train_pairs, train_frames, workloads.train_config(scale))
     model = casc.proposal_model

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -85,6 +86,11 @@ class SvmRescorer:
         return phi @ self.w + self.b
 
 
+def _check_proposal_budget(avg: float) -> None:
+    if not 0 < avg < math.inf:
+        raise ValueError(f"proposal_filter_avg must be positive and finite, got {avg!r}")
+
+
 @dataclass
 class CascadeConfig:
     proposal_model: ForestModel
@@ -95,8 +101,7 @@ class CascadeConfig:
     geometry: WindowGeometry = field(default_factory=WindowGeometry)
 
     def __post_init__(self):
-        if self.proposal_filter_avg <= 0:
-            raise ValueError("proposal_filter_avg must be > 0")
+        _check_proposal_budget(self.proposal_filter_avg)
         if not 0.0 <= self.final_nms_iou <= 1.0:
             raise ValueError(f"final_nms_iou must be in [0,1], got {self.final_nms_iou}")
 
@@ -193,6 +198,7 @@ class CascadeTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_proposal_budget(self.proposal_filter_avg)
         if self.rescorer_kind not in ("net", "svm", "identity"):
             raise ValueError(f"bad rescorer_kind {self.rescorer_kind!r}")
 

@@ -103,6 +103,14 @@ def _ratio(text: str) -> Optional[BatchRatio]:
         raise argparse.ArgumentTypeError(f'{text!r} is not "none" or "pos:neg" with parts >= 1')
 
 
+def _unsplit(batch: int, ratio: Optional[BatchRatio]) -> Optional[str]:
+    """Why `ratio` cannot split a batch of `batch` windows, as the batch
+    sampler needs, or None if it can."""
+    if ratio is None or batch * ratio.pos % (ratio.pos + ratio.neg) == 0:
+        return None
+    return f"a batch of {batch} does not split {ratio.pos}:{ratio.neg} by --ratio"
+
+
 def _out_dir(args) -> Path:
     d = Path(args.out_dir or os.environ.get("PEDCASCADE_OUT", "."))
     d.mkdir(parents=True, exist_ok=True)
@@ -277,6 +285,8 @@ def _cmd_train_net(args) -> int:
                                 input_hw=WindowGeometry().window, **cfgfile.get("net", {}))
     except (TypeError, ValueError) as exc:
         raise DataError(f"{args.config}: bad config ({exc})") from exc
+    if why := _unsplit(tc.batch, args.ratio):  # --batch was checked by the parser
+        raise DataError(f"{args.config}: bad config ({why})")
     cfg = CascadeTrainConfig(policy=LabelingPolicy(neg_source=args.neg_source), ratio=args.ratio,
                              net_train=tc, net_spec=spec, seed=args.seed)
     _write_manifest(args, "train-net", {"train": vars(tc), "ratio": args.ratio and vars(args.ratio)},
@@ -496,6 +506,8 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "batch", None) and (why := _unsplit(args.batch, args.ratio)):
+            parser.error(f"argument --batch: {why}")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

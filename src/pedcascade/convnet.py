@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class TrainingDiverged(RuntimeError):
@@ -161,29 +162,57 @@ def default_cifarnet(
 # (out, cache), and backward(cache, dout, need_dx) reads that cache alone and
 # returns (dx, parameter gradients), with dx None when need_dx is false
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    n, c, h, w = x.shape
+# A conv layer builds its im2col columns (Chellapilla et al., 2006) for a
+# chunk of samples at a time: at most this many float64 elements, or one
+# sample's columns if those are more, so no layer holds a whole batch of them
+COLUMN_BLOCK = 2 ** 16
+
+
+def _windows(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    """The (n, c, oh, ow, k, k) view of the k x k windows of x, zero-padded
+    by `pad`, at `stride`."""
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (w + 2 * pad - k) // stride + 1
-    cols = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(n, c * k * k, oh * ow), oh, ow
+    return sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
 
 
-def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, ow: int):
-    n, c, h, w = x_shape
-    cols = cols.reshape(n, c, k, k, oh, ow)
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+def _chunk_size(per_sample: int) -> int:
+    return max(1, COLUMN_BLOCK // per_sample)
+
+
+def _column_chunks(win: np.ndarray):
+    """(a, b, columns of samples a:b) over the batch of a window view, the
+    columns laid out (b - a, c * k * k, oh * ow) as im2col lays them out and
+    built into one reused buffer."""
+    n, c, oh, ow, k, _ = win.shape
+    step = _chunk_size(c * k * k * oh * ow)
+    buf = np.empty((min(step, n), c, k, k, oh, ow), dtype=win.dtype)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        cols = buf[: b - a]
+        cols[...] = win[a:b].transpose(0, 1, 4, 5, 2, 3)
+        yield a, b, cols.reshape(b - a, c * k * k, oh * ow)
+
+
+def _col2im(cols: np.ndarray, out: np.ndarray, k: int, stride: int, oh: int, ow: int):
+    """Add columns (m, c * k * k, oh * ow) into the padded images out
+    (m, c, h, w) at the pixels they were read from, in (i, j) order."""
+    m, c = out.shape[:2]
+    cols = cols.reshape(m, c, k, k, oh, ow)
     for i in range(k):
         for j in range(k):
             out[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, i, j]
-    if pad:
-        out = out[:, :, pad:-pad, pad:-pad]
-    return out
+
+
+def _weight_grad(win: np.ndarray, dflat: np.ndarray) -> np.ndarray:
+    """The sum over the batch of dflat[i] @ columns[i].T.  Each sample's
+    product is kept and all are summed in one call, in the order a
+    whole-batch matmul and .sum(axis=0) add them."""
+    n, f = dflat.shape[:2]
+    per_sample = np.empty((n, f, win.shape[1] * win.shape[4] * win.shape[5]))
+    for a, b, cols in _column_chunks(win):
+        np.matmul(dflat[a:b], cols.transpose(0, 2, 1), out=per_sample[a:b])
+    return per_sample.sum(axis=0)
 
 
 class ConvLayer:
@@ -197,60 +226,92 @@ class ConvLayer:
         return [self.W, self.b]
 
     def forward(self, x):
-        k, s, p = self.spec.kernel, self.spec.stride, self.spec.padding
-        cols, oh, ow = _im2col(x, k, s, p)
+        win = _windows(x, self.spec.kernel, self.spec.stride, self.spec.padding)
+        n, oh, ow = x.shape[0], win.shape[2], win.shape[3]
         wm = self.W.reshape(self.spec.filters, -1)
-        out = np.matmul(wm[None], cols) + self.b[None, :, None]
-        return out.reshape(x.shape[0], self.spec.filters, oh, ow), (x.shape, cols, oh, ow)
+        out = np.empty((n, self.spec.filters, oh * ow))
+        for a, b, cols in _column_chunks(win):
+            np.matmul(wm[None], cols, out=out[a:b])
+        out += self.b[None, :, None]
+        return out.reshape(n, self.spec.filters, oh, ow), (x.shape, win)
 
     def backward(self, cache, dout, need_dx):
-        x_shape, cols, oh, ow = cache
-        k, s, p = self.spec.kernel, self.spec.stride, self.spec.padding
-        dflat = dout.reshape(dout.shape[0], self.spec.filters, -1)
-        dW = np.matmul(dflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.W.shape)
+        (n, c, h, w), win = cache
+        f, oh, ow = self.spec.filters, win.shape[2], win.shape[3]
+        dflat = dout.reshape(n, f, -1)
+        dW = _weight_grad(win, dflat).reshape(self.W.shape)
         db = dflat.sum(axis=(0, 2))
         if not need_dx:
             return None, [dW, db]
-        # dcols has the columns' shape: once the caller has let go of the
-        # cache, it takes their memory instead of growing the heap by as much
-        del cache, cols
-        wm = self.W.reshape(self.spec.filters, -1)
-        dcols = np.matmul(wm.T[None], dflat)
-        dx = _col2im(dcols, x_shape, k, s, p, oh, ow)
-        return dx, [dW, db]
+        k, s, p = self.spec.kernel, self.spec.stride, self.spec.padding
+        wm = self.W.reshape(f, -1)
+        dx = np.zeros((n, c, h + 2 * p, w + 2 * p))
+        step = _chunk_size(wm.shape[1] * oh * ow)
+        for a in range(0, n, step):
+            _col2im(np.matmul(wm.T[None], dflat[a : a + step]), dx[a : a + step], k, s, oh, ow)
+        return dx[:, :, p : p + h, p : p + w], [dW, db]
 
 
 class PoolLayer:
+    """k x k pooling at a stride, run as k * k strided maxima or sums over
+    the input, one per window offset (i, j) in row-major order."""
+
     def __init__(self, spec: PoolSpec):
         self.spec = spec
         self.params = []
 
-    def forward(self, x):
+    def _offsets(self, a: np.ndarray) -> List[np.ndarray]:
+        """The k * k strided views of the input-shaped `a`, one per window
+        offset, each shaped like the output."""
         k, s = self.spec.size, self.spec.stride
-        cols, oh, ow = _im2col(x, k, s, 0)
-        n, c = x.shape[0], x.shape[1]
-        cols = cols.reshape(n, c, k * k, oh * ow)
+        oh, ow = (a.shape[2] - k) // s + 1, (a.shape[3] - k) // s + 1
+        return [a[:, :, i : i + s * oh : s, j : j + s * ow : s] for i in range(k) for j in range(k)]
+
+    def forward(self, x):
+        views = self._offsets(x)
+        first, *rest = views
         if self.spec.mode == "max":
-            idx = np.argmax(cols, axis=2)
-            out = np.take_along_axis(cols, idx[:, :, None, :], axis=2)[:, :, 0, :]
-        else:
-            idx = None
-            out = cols.mean(axis=2)
-        return out.reshape(n, c, oh, ow), (x.shape, idx, oh, ow)
+            # np.argmax's rule: the first maximum wins, and the first NaN.
+            # np.maximum(v, out) keeps out, the earlier value, on a tie of
+            # -0.0 and +0.0; idx is the first offset equal to the maximum,
+            # found from the last offset back
+            out = first.copy()
+            for v in rest:
+                np.maximum(v, out, out=out)
+            nan = np.isnan(out)
+            has_nan = nan.any()
+            idx = np.zeros(out.shape, dtype=np.min_scalar_type(len(rest)))
+            for t, v in reversed(list(enumerate(views))):
+                won = v == out
+                if has_nan:  # the first NaN wins, with its own bits
+                    first_nan = nan & np.isnan(v)
+                    np.copyto(out, v, where=first_nan)
+                    won |= first_nan
+                idx = np.where(won, idx.dtype.type(t), idx)
+            return out, (x.shape, idx)
+        k = self.spec.size
+        if first.shape[2:] == (1, 1):  # numpy sums a lone window pairwise, not in order
+            n, c = x.shape[:2]
+            out = x[:, :, :k, :k].reshape(n, c, k * k).mean(axis=2).reshape(n, c, 1, 1)
+            return out, (x.shape, None)
+        out = first + 0.0  # the sum starts at +0.0, as numpy's mean does
+        for v in rest:
+            out += v
+        out /= k * k
+        return out, (x.shape, None)
 
     def backward(self, cache, dout, need_dx):
-        x_shape, idx, oh, ow = cache
+        x_shape, idx = cache
         if not need_dx:
             return None, []
-        k, s = self.spec.size, self.spec.stride
-        n, c = x_shape[0], x_shape[1]
-        dflat = dout.reshape(n, c, oh * ow)
-        dcols = np.zeros((n, c, k * k, oh * ow))
+        dx = np.zeros(x_shape)
         if self.spec.mode == "max":
-            np.put_along_axis(dcols, idx[:, :, None, :], dflat[:, :, None, :], axis=2)
+            for t, v in enumerate(self._offsets(dx)):
+                v += np.where(idx == t, dout, 0.0)
         else:
-            dcols += dflat[:, :, None, :] / (k * k)
-        dx = _col2im(dcols.reshape(n, c * k * k, oh * ow), x_shape, k, s, 0, oh, ow)
+            g = dout / self.spec.size ** 2
+            for v in self._offsets(dx):
+                v += g
         return dx, []
 
 

@@ -197,13 +197,12 @@ class _StumpSearch:
         hi = X.max(axis=0)
         # k thresholds uniformly spanning each feature's empirical range.
         self.thresholds = lo[None, :] + (hi - lo)[None, :] * (np.arange(k) / (k - 1))[:, None]
-        # keys[f, i] = f * (k + 1) + the number of thresholds strictly below
-        # X[i, f]; feature-major, so each histogram bin adds its samples in
+        # bins[f, i] = the number of thresholds strictly below X[i, f], at
+        # most k; feature-major, so each histogram bin adds its samples in
         # ascending order
-        self.keys = np.empty((self.f, n), dtype=np.int32)
+        self.bins = np.empty((self.f, n), dtype=np.uint16)
         for j in range(self.f):
-            self.keys[j] = np.searchsorted(self.thresholds[:, j], X[:, j], side="left")
-        self.keys += (np.arange(self.f, dtype=np.int32) * (k + 1))[:, None]
+            self.bins[j] = np.searchsorted(self.thresholds[:, j], X[:, j], side="left")
 
     def best_stumps(self, w: np.ndarray, y: np.ndarray,
                     side: Optional[np.ndarray] = None) -> List[Optional[tuple]]:
@@ -237,7 +236,11 @@ class _StumpSearch:
         for a in range(0, self.f, step):
             b = min(a + step, self.f)
             block = (b - a) * (k + 1)
-            keys = self.keys[a:b] + (group * np.int32(block) - np.int32(a * (k + 1)))
+            # the block's int32 keys: (f - a) * (k + 1) + bin, offset by the
+            # sample's side x class group
+            keys = (group * np.int32(block))[None, :] + (
+                np.arange(b - a, dtype=np.int32) * np.int32(k + 1))[:, None]
+            keys += self.bins[a:b]
             hist = np.bincount(keys.ravel(), weights=np.broadcast_to(w, keys.shape).ravel(),
                                minlength=2 * n_sides * block)
             hist = hist.reshape(n_sides, 2, b - a, k + 1)
@@ -459,8 +462,8 @@ def filter_proposals(
     per-frame list order.  With a budget of zero nothing survives and the
     threshold is +inf.
     """
-    if target_avg <= 0:
-        raise ValueError("target_avg must be > 0")
+    if not 0 < target_avg < math.inf:
+        raise ValueError(f"target_avg must be positive and finite, got {target_avg!r}")
     n_images = len(dets)
     scores = np.sort(np.array([d.score for per in dets for d in per]))[::-1]
     allowed = math.floor(target_avg * n_images)

@@ -55,6 +55,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             base_config(tiny_forest, proposal_filter_avg=0.0)
 
+    @pytest.mark.parametrize("avg", [float("nan"), float("inf")])
+    def test_non_finite_filter_avg_is_named(self, tiny_forest, avg):
+        with pytest.raises(ValueError, match=f"proposal_filter_avg .* got {avg}"):
+            base_config(tiny_forest, proposal_filter_avg=avg)
+        with pytest.raises(ValueError, match=f"proposal_filter_avg .* got {avg}"):
+            CascadeTrainConfig(proposal_filter_avg=avg)
+
     @pytest.mark.parametrize("iou", [-0.5, 1.5, float("nan")])
     def test_final_nms_iou_outside_the_unit_interval(self, tiny_forest, iou):
         with pytest.raises(ValueError, match="final_nms_iou"):

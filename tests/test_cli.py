@@ -592,6 +592,10 @@ def test_manifest_records_the_net(tmp_path, detect_inputs, capsys, command):
     ("train-svm", ["--C", "-1"], None, EXIT_USAGE),
     ("train-svm", ["--neg-overlap", "2"], None, EXIT_USAGE),
     ("sweep", ["--seeds-per-cell", "0"], None, EXIT_USAGE),
+    # a batch the --ratio cannot split
+    ("train-net", ["--batch", "5"], None, EXIT_USAGE),
+    ("train-net", ["--ratio", "1:2", "--batch", "4"], None, EXIT_USAGE),
+    ("train-net", [], {"batch": 5}, EXIT_DATA),
 ])
 def test_out_of_range_value_writes_nothing(tmp_path, detect_inputs, tiny_world, capsys,
                                            command, values, config, code):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pedcascade import convnet
 from pedcascade.cascade import NetRescorer, train_svm_head
 from pedcascade.convnet import (
     ConvLayer,
@@ -63,6 +64,74 @@ def naive_pool(x, size, stride, mode):
                               j * stride: j * stride + size]
                     out[ni, ci, i, j] = patch.max() if mode == "max" else patch.mean()
     return out
+
+
+def im2col(x, k, stride, pad):
+    """Whole-batch im2col columns (n, c * k * k, oh * ow): the layout the
+    chunked conv kernels build a chunk of samples at a time."""
+    n, c, h, w = x.shape
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (w + 2 * pad - k) // stride + 1
+    cols = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols.reshape(n, c * k * k, oh * ow), oh, ow
+
+
+def col2im(cols, x_shape, k, stride, pad, oh, ow):
+    n, c, h, w = x_shape
+    cols = cols.reshape(n, c, k, k, oh, ow)
+    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    for i in range(k):
+        for j in range(k):
+            out[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, i, j]
+    if pad:
+        out = out[:, :, pad:-pad, pad:-pad]
+    return out
+
+
+def oracle_conv(layer, x, dout):
+    """(out, dx, dW, db) of a conv layer from the whole batch's columns: one
+    matmul per direction over the batch, dW summed over it by .sum(axis=0)."""
+    k, s, p = layer.spec.kernel, layer.spec.stride, layer.spec.padding
+    n, f = x.shape[0], layer.spec.filters
+    cols, oh, ow = im2col(x, k, s, p)
+    wm = layer.W.reshape(f, -1)
+    out = (np.matmul(wm[None], cols) + layer.b[None, :, None]).reshape(n, f, oh, ow)
+    dflat = dout.reshape(n, f, -1)
+    dW = np.matmul(dflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(layer.W.shape)
+    db = dflat.sum(axis=(0, 2))
+    dx = col2im(np.matmul(wm.T[None], dflat), x.shape, k, s, p, oh, ow)
+    return out, dx, dW, db
+
+
+def oracle_pool(spec, x, dout):
+    """(out, dx) of a pool layer from its im2col columns: np.argmax picks
+    each window's maximum and routes its gradient, or .mean(axis=2)
+    averages the window and spreads the gradient evenly."""
+    k, s = spec.size, spec.stride
+    n, c = x.shape[:2]
+    cols, oh, ow = im2col(x, k, s, 0)
+    cols = cols.reshape(n, c, k * k, oh * ow)
+    dflat = dout.reshape(n, c, oh * ow)
+    dcols = np.zeros((n, c, k * k, oh * ow))
+    if spec.mode == "max":
+        idx = np.argmax(cols, axis=2)
+        out = np.take_along_axis(cols, idx[:, :, None, :], axis=2)[:, :, 0, :]
+        np.put_along_axis(dcols, idx[:, :, None, :], dflat[:, :, None, :], axis=2)
+    else:
+        out = cols.mean(axis=2)
+        dcols += dflat[:, :, None, :] / (k * k)
+    dx = col2im(dcols.reshape(n, c * k * k, oh * ow), x.shape, k, s, 0, oh, ow)
+    return out.reshape(n, c, oh, ow), dx
+
+
+def same_bits(got, want):
+    return (got.shape == want.shape
+            and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
 
 
 def numeric_grad(f, param, eps=1e-5, samples=None, rng=None):
@@ -288,25 +357,6 @@ class TestGradients:
             assert all(np.array_equal(a, b) for a, b in zip(same, grads))
             dout = dx
 
-    def test_conv_backward_builds_dx_in_the_columns_memory(self):
-        """With the cache handed over, as `loss_and_grads` does, the columns
-        are freed before the input gradient's columns of the same shape are
-        built, so a backward pass never holds both."""
-        rng = np.random.default_rng(12)
-        layer = ConvLayer(ConvSpec(4, 5), in_channels=3)
-        x, dout = rng.normal(size=(8, 3, 24, 16)), rng.normal(size=(8, 4, 24, 16))
-        tracemalloc.start()
-        try:
-            caches = [layer.forward(x)[1]]
-            cols_bytes = caches[0][1].nbytes
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            layer.backward(caches.pop(), dout, True)
-            grown = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert grown < cols_bytes / 2
-
     def test_trained_model_keeps_no_batch_activations(self):
         rng = np.random.default_rng(11)
         spec = NetSpec((2, 9, 7), [ConvSpec(3, 3), PoolSpec("max"), SigmoidSpec(), FCSpec(4),
@@ -334,6 +384,110 @@ class TestGradients:
         windows = list(batch[0].transpose(0, 2, 3, 1))  # image layout (H, W, C)
         head = train_svm_head(NetRescorer(model, 0.1), windows, batch[1], SvmConfig())
         assert head.model is model and held() == []
+
+
+class TestKernelsBitForBit:
+    """The chunked conv and the strided pooling against the whole-batch
+    im2col oracles: every output and gradient bit is the same."""
+
+    @pytest.mark.parametrize("samples", [0.5, 1, 3, 8])  # budget in samples' columns
+    @pytest.mark.parametrize("stride, pad", [(1, 2), (1, 0), (2, 1)])
+    def test_chunked_conv_matches_the_whole_batch_oracle(self, monkeypatch, samples, stride,
+                                                         pad):
+        """Budgets below one sample's columns, of exactly one, of three
+        (chunks of 3, 3 and 1) and above the batch of 7."""
+        rng = np.random.default_rng(20)
+        layer = ConvLayer(ConvSpec(4, 5, stride=stride, pad=pad), in_channels=3)
+        layer.W[...] = rng.normal(size=layer.W.shape)
+        layer.b[...] = rng.normal(size=layer.b.shape)
+        x = rng.normal(size=(7, 3, 12, 10))
+        oh, ow = NetSpec((3, 12, 10), [layer.spec]).shapes()[0][1:]
+        monkeypatch.setattr(convnet, "COLUMN_BLOCK", int(samples * 3 * 25 * oh * ow))
+        out, cache = layer.forward(x)
+        dout = rng.normal(size=out.shape)
+        dx, (dW, db) = layer.backward(cache, dout, True)
+        for got, want in zip((out, dx, dW, db), oracle_conv(layer, x, dout)):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("mode", ["max", "mean"])
+    @pytest.mark.parametrize("size, stride, hw", [
+        (3, 2, (11, 9)), (2, 2, (8, 8)), (3, 1, (7, 6)), (1, 1, (3, 2)),
+        (3, 2, (3, 3)), (3, 2, (4, 4)),  # one window per map, which numpy sums pairwise
+    ])
+    def test_pool_matches_the_im2col_oracle(self, mode, size, stride, hw):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(8, 4) + hw) * 10.0 ** rng.integers(-3, 4, size=(8, 4) + hw)
+        ties = rng.random(x.shape) < 0.5
+        x[ties] = np.round(x[ties] * 2) / 2
+        x[rng.random(x.shape) < 0.2] = -0.0  # ties between -0.0 and +0.0
+        layer = PoolLayer(PoolSpec(mode, size, stride))
+        out, cache = layer.forward(x)
+        dout = rng.normal(size=out.shape)
+        dout[rng.random(dout.shape) < 0.2] = -0.0
+        dx, _ = layer.backward(cache, dout, True)
+        want_out, want_dx = oracle_pool(layer.spec, x, dout)
+        assert same_bits(out, want_out)
+        assert same_bits(dx, want_dx)
+
+    def test_max_pool_gradient_goes_to_the_first_maximum(self):
+        x = np.zeros((1, 2, 3, 3))
+        x[0, 0] = [[1.0, 5.0, 5.0], [5.0, 0.0, 2.0], [5.0, 1.0, 5.0]]
+        x[0, 1, 0, 0] = -0.0  # ties with the +0.0 after it
+        layer = PoolLayer(PoolSpec("max", 3, 2))
+        out, cache = layer.forward(x)
+        dx, _ = layer.backward(cache, np.array([[[[2.0]], [[3.0]]]]), True)
+        assert out[0, 0, 0, 0] == 5.0
+        assert out[0, 1, 0, 0] == 0.0 and np.signbit(out[0, 1, 0, 0])
+        want = np.zeros_like(x)
+        want[0, 0, 0, 1] = 2.0
+        want[0, 1, 0, 0] = 3.0
+        assert np.array_equal(dx, want)
+
+    def test_max_pool_takes_the_first_nan(self):
+        x = np.arange(25.0).reshape(1, 1, 5, 5)
+        # two NaNs with their own bits; (2, 2) is in all four windows
+        x[0, 0, 1, 0], x[0, 0, 2, 2] = np.array([0x7FF8000000000001, 0x7FF8000000000002],
+                                                dtype=np.uint64).view(np.float64)
+        layer = PoolLayer(PoolSpec("max", 3, 2))
+        out, cache = layer.forward(x)
+        assert np.isnan(out).all()
+        dout = np.array([[[[1.0, 2.0], [4.0, 8.0]]]])
+        dx, _ = layer.backward(cache, dout, True)
+        want = np.zeros_like(x)
+        want[0, 0, 1, 0] = 1.0  # the first NaN of the first window
+        want[0, 0, 2, 2] = 2.0 + 4.0 + 8.0
+        assert np.array_equal(dx, want)
+        want_out, want_dx = oracle_pool(layer.spec, x, dout)
+        assert same_bits(out, want_out) and same_bits(dx, want_dx)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_conv_working_set_is_bounded_by_the_column_budget(self, monkeypatch, n):
+        """Whatever the batch size, forward caches the padded input and no
+        columns, and each pass grows the heap by its own outputs plus at
+        most 1.5 column budgets.  At n = 8 backward's bound is 0.85 MB, below
+        half the 1.84 MB of the whole batch's columns."""
+        rng = np.random.default_rng(12)
+        layer = ConvLayer(ConvSpec(4, 5), in_channels=3)
+        per_sample = 3 * 25 * 24 * 16  # one sample's columns
+        monkeypatch.setattr(convnet, "COLUMN_BLOCK", 2 * per_sample)
+        budget = 1.5 * 8 * convnet.COLUMN_BLOCK
+        x, dout = rng.normal(size=(n, 3, 24, 16)), rng.normal(size=(n, 4, 24, 16))
+        padded = 8 * n * 3 * 28 * 20
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            caches = [layer.forward(x)[1]]
+            cached, fwd_peak = (m - start for m in tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            layer.backward(caches.pop(), dout, True)
+            grown = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert cached < padded + 0.05 * budget
+        assert fwd_peak < padded + dout.nbytes + budget
+        # the padded input gradient and the per-sample dW products
+        assert grown < padded + 8 * n * 4 * 75 + budget
 
 
 class TestLossAndTraining:

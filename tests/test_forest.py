@@ -155,7 +155,8 @@ def two_bincount_best_stump(search: _StumpSearch, idx, w, y):
     with zero weights for the other class: the oracle for the one-pass
     _StumpSearch.best_stumps."""
     k = N_THRESHOLD_QUANTILES
-    keys = search.keys.T.astype(np.int64)[idx].ravel()
+    keys = search.bins.astype(np.int64) + np.arange(search.f)[:, None] * (k + 1)
+    keys = keys.T[idx].ravel()
     rep = search.f
     wp = np.repeat(w * (y > 0), rep)
     wn = np.repeat(w * (y < 0), rep)
@@ -615,6 +616,12 @@ class TestFilterProposals:
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
             filter_proposals([[]], 0.0)
+
+    @pytest.mark.parametrize("target", [float("nan"), float("inf")])
+    def test_rejects_non_finite_target_naming_it(self, target):
+        det = Detection(Box(0, 0, 5, 5), 1.0)
+        with pytest.raises(ValueError, match=f"target_avg .* got {target}"):
+            filter_proposals([[det]], target)
 
 
 class TestSerialization:
