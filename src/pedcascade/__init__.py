@@ -9,6 +9,8 @@ from .cascade import (
     SvmRescorer,
     TimingReport,
     load_rescorer,
+    propose,
+    rescore,
     run_cascade,
     save_rescorer,
     train_cascade,

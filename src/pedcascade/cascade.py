@@ -108,6 +108,16 @@ class CascadeConfig:
 
 @dataclass
 class TimingReport:
+    """Where one run_cascade call spent its time.
+
+    ms_per_image_proposals: `propose` (every frame's detect, then the global
+        filter), per image.
+    ms_per_window: `rescore` (window extraction, the rescorer and the final
+        NMS), per rescored window; 0 when no window is rescored.
+    ms_per_image_total: the whole call, per image.
+    windows_scored: proposals handed to the rescorer; 0 without one.
+    """
+
     ms_per_window: float
     ms_per_image_proposals: float
     ms_per_image_total: float
@@ -123,56 +133,75 @@ class TimingReport:
         return component <= self.ms_per_image_total * n_images + tol
 
 
-def run_cascade(
-    images: Sequence[Tuple[str, Image]], cfg: CascadeConfig
-) -> Tuple[Dict[str, List[Detection]], TimingReport]:
-    """Proposals, global score-threshold filtering to the target average,
-    window rescoring, final NMS (final_nms_iou=1.0 keeps every box).
-
-    Rescoring only rewrites scores; box geometry is untouched before NMS.
-    """
-    if not images:
-        return {}, TimingReport(0.0, 0.0, 0.0, 0)
-    ids = [fid for fid, _ in images]
-    if len(set(ids)) != len(ids):
-        raise CascadeError("duplicate frame ids")
-
-    t0 = time.perf_counter()
+def propose(
+    images: Sequence[Tuple[str, Image]], model: ForestModel, sliding: SlidingWindowConfig,
+    target_avg: float,
+) -> Tuple[float, List[List[Detection]]]:
+    """Forest proposals of every frame, filtered globally to at most
+    target_avg per image: (score threshold, per-frame Detection lists in
+    image order), as filter_proposals returns them."""
     proposals: List[List[Detection]] = []
     for fid, img in images:
         try:
-            proposals.append(detect(img, cfg.proposal_model, cfg.sliding))
+            proposals.append(detect(img, model, sliding))
         except Exception as exc:
             raise CascadeError(f"frame {fid}: proposal stage failed: {exc}") from exc
-    t_prop = time.perf_counter() - t0
+    return filter_proposals(proposals, target_avg)
 
-    _, filtered = filter_proposals(proposals, cfg.proposal_filter_avg)
 
-    windows_scored = 0
-    t_rescore = 0.0
+def rescore(
+    images: Sequence[Tuple[str, Image]],
+    proposals: Sequence[Sequence[Detection]],
+    rescorer: Optional[object],
+    geometry: WindowGeometry,
+    final_nms_iou: float,
+) -> Dict[str, List[Detection]]:
+    """Each frame's proposals rescored on their `geometry` windows, then
+    final NMS (final_nms_iou=1.0 keeps every box).  Proposals pair with
+    images by position.  A None rescorer keeps the proposal scores and
+    extracts no window.
+
+    Rescoring only rewrites scores; box geometry is untouched before NMS.
+    """
+    ids = [fid for fid, _ in images]
+    if len(set(ids)) != len(ids):
+        raise CascadeError("duplicate frame ids")
+    if len(proposals) != len(images):
+        raise CascadeError(f"{len(proposals)} proposal lists for {len(images)} images")
     out: Dict[str, List[Detection]] = {}
-    for (fid, img), dets in zip(images, filtered):
+    for (fid, img), dets in zip(images, proposals):
         boxes = [d.box for d in dets]
         scores = np.array([d.score for d in dets])
-        if dets and cfg.rescorer is not None:
-            t1 = time.perf_counter()
+        if dets and rescorer is not None:
             try:
-                scores = np.asarray(cfg.rescorer(_window_batch(img, boxes, cfg.geometry), scores),
+                scores = np.asarray(rescorer(_window_batch(img, boxes, geometry), scores),
                                     dtype=np.float64)
             except Exception as exc:
                 raise CascadeError(f"frame {fid}: rescoring failed: {exc}") from exc
-            t_rescore += time.perf_counter() - t1
-            windows_scored += len(dets)
-        keep = nms(box_array(boxes), scores, cfg.final_nms_iou)
+        keep = nms(box_array(boxes), scores, final_nms_iou)
         out[fid] = [Detection(boxes[i], s) for i, s in zip(keep.tolist(), scores[keep].tolist())]
+    return out
 
-    total = time.perf_counter() - t0
+
+def run_cascade(
+    images: Sequence[Tuple[str, Image]], cfg: CascadeConfig
+) -> Tuple[Dict[str, List[Detection]], TimingReport]:
+    """`propose`, then `rescore` with the config's rescorer, timed."""
+    if not images:
+        return {}, TimingReport(0.0, 0.0, 0.0, 0)
+    t0 = time.perf_counter()
+    _, proposals = propose(images, cfg.proposal_model, cfg.sliding, cfg.proposal_filter_avg)
+    t1 = time.perf_counter()
+    out = rescore(images, proposals, cfg.rescorer, cfg.geometry, cfg.final_nms_iou)
+    t2 = time.perf_counter()
+
+    windows = sum(map(len, proposals)) if cfg.rescorer is not None else 0
     n = len(images)
     report = TimingReport(
-        ms_per_window=(t_rescore / windows_scored * 1e3) if windows_scored else 0.0,
-        ms_per_image_proposals=t_prop / n * 1e3,
-        ms_per_image_total=total / n * 1e3,
-        windows_scored=windows_scored,
+        ms_per_window=(t2 - t1) / windows * 1e3 if windows else 0.0,
+        ms_per_image_proposals=(t1 - t0) / n * 1e3,
+        ms_per_image_total=(t2 - t0) / n * 1e3,
+        windows_scored=windows,
     )
     return out, report
 
@@ -385,8 +414,7 @@ def train_cascade(
             sliding=cfg.sliding, geometry=cfg.geometry,
         )
 
-    proposals = [detect(img, forest, cfg.sliding) for _, img in images]
-    _, proposals = filter_proposals(proposals, cfg.proposal_filter_avg)
+    _, proposals = propose(images, forest, cfg.sliding, cfg.proposal_filter_avg)
     rescorer = train_rescorer(images, frames, proposals, cfg)
 
     return CascadeConfig(

@@ -9,7 +9,7 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 import numpy as np
 
 from .geometry import Box
-from .imageops import Image, centered_gradients, triangle_blur
+from .imageops import Image, centered_gradients
 
 CHANNEL_COUNTS = {"RGB": 3, "LUV": 3, "G_LUV": 4, "HOG_L": 7, "HOG_LUV": 10}
 
@@ -33,7 +33,6 @@ class ChannelConfig:
 
     kind: str = "HOG_LUV"
     orientation_bins: int = 6
-    pre_blur: bool = False
 
     def __post_init__(self):
         if self.kind not in CHANNEL_COUNTS:
@@ -192,9 +191,7 @@ def compute_channels(img: Union[Image, np.ndarray], cfg: ChannelConfig,
                      pitch: int = 1) -> ChannelStack:
     """Compute the channel stack for one image, its integrals at `pitch`.
 
-    Color kinds require a 3-plane image.  With cfg.pre_blur the finished
-    channels are smoothed with a radius-1 triangle filter (linear, so the
-    orientation-sum-equals-G conservation is preserved).
+    Color kinds require a 3-plane image.
     """
     arr = img.data if isinstance(img, Image) else np.asarray(img, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[2] != 3:
@@ -221,8 +218,6 @@ def compute_channels(img: Union[Image, np.ndarray], cfg: ChannelConfig,
             raise ValueError(cfg.kind)
 
     planes = [np.ascontiguousarray(p, dtype=np.float64) for p in planes]
-    if cfg.pre_blur:
-        planes = [triangle_blur(p) for p in planes]
     return ChannelStack(planes, pitch)
 
 

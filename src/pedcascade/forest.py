@@ -519,7 +519,7 @@ def forest_to_json(model: ForestModel) -> dict:
         "channel_cfg": {
             "kind": model.channel_cfg.kind,
             "orientation_bins": model.channel_cfg.orientation_bins,
-            "pre_blur": model.channel_cfg.pre_blur,
+            "pre_blur": False,  # never blurred; the key keeps the file format unchanged
         },
         "tree_weights": list(model.tree_weights),
         "trees": [
@@ -538,7 +538,11 @@ def forest_to_json(model: ForestModel) -> dict:
 def forest_from_json(d: dict) -> ForestModel:
     if d.get("version") != FOREST_FORMAT_VERSION:
         raise ValueError(f"unsupported forest format version {d.get('version')!r}")
-    cfg = ChannelConfig(**d["channel_cfg"])
+    ccfg = dict(d["channel_cfg"])
+    pre_blur = ccfg.pop("pre_blur", False)
+    if pre_blur is not False:
+        raise ValueError(f"pre_blur {pre_blur!r} is not supported; channels are never blurred")
+    cfg = ChannelConfig(**ccfg)
     trees = [
         Tree2(
             root=_node_from_json(t["root"]),

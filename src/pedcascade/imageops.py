@@ -144,21 +144,6 @@ def sample_box_bilinear(
     return out
 
 
-def triangle_blur(arr: np.ndarray) -> np.ndarray:
-    """Separable [1,2,1]/4 triangle filter (radius 1) with replicated borders."""
-    def blur_axis(a: np.ndarray, axis: int) -> np.ndarray:
-        lo = np.take(a, [0], axis=axis)
-        hi = np.take(a, [a.shape[axis] - 1], axis=axis)
-        padded = np.concatenate([lo, a, hi], axis=axis)
-        n = a.shape[axis]
-        left = np.take(padded, range(0, n), axis=axis)
-        mid = np.take(padded, range(1, n + 1), axis=axis)
-        right = np.take(padded, range(2, n + 2), axis=axis)
-        return (left + 2.0 * mid + right) / 4.0
-
-    return blur_axis(blur_axis(arr, 0), 1)
-
-
 def centered_gradients(plane: np.ndarray):
     """Centered-difference gradients with replicated borders.
 

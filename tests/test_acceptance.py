@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from pedcascade.cascade import (
-    CascadeConfig,
     CascadeTrainConfig,
-    run_cascade,
+    propose,
+    rescore,
     train_cascade,
     train_rescorer,
 )
@@ -46,7 +46,6 @@ from pedcascade.evaluate import LamrConfig, average_precision, lamr, recall_vs_i
 from pedcascade.forest import (
     SlidingWindowConfig,
     detect,
-    filter_proposals,
     forest_to_json,
 )
 from pedcascade.forest2nn import compile_forest, verify_equivalence
@@ -292,13 +291,11 @@ def _cifarnet_small():
 
 
 def _eval_rescorer(pipeline, rescorer):
-    cfg = CascadeConfig(
-        proposal_model=pipeline["forest"], rescorer=rescorer,
-        sliding=SLIDING, geometry=NET_GEOM,
-    )
-    dets, report = run_cascade(pipeline["test_pairs"], cfg)
+    """The test frames' one proposal set, rescored by `rescorer` (None: the
+    forest scores), and its LAMR."""
+    dets = rescore(pipeline["test_pairs"], pipeline["test_props"], rescorer, NET_GEOM, 0.5)
     _, mr = lamr(dets, pipeline["test_frames"])
-    return dets, mr, report
+    return dets, mr
 
 
 @pytest.fixture(scope="module")
@@ -317,17 +314,16 @@ def pipeline():
     cfg = dc_replace(cfg, net_spec=_cifarnet_small())
     cascade = train_cascade(train_pairs, train_frames, cfg)
 
-    train_props = [detect(img, cascade.proposal_model, SLIDING)
-                   for _, img in train_pairs]
-    _, train_props = filter_proposals(train_props, 3.0)
+    _, train_props = propose(train_pairs, cascade.proposal_model, SLIDING, 3.0)
+    _, test_props = propose(test_pairs, cascade.proposal_model, SLIDING, 3.0)
     return {
-        "forest": cascade.proposal_model,
         "cascade": cascade,
         "cfg": cfg,
         "train_pairs": train_pairs,
         "train_frames": train_frames,
         "train_props": train_props,
         "test_pairs": test_pairs,
+        "test_props": test_props,
         "test_frames": test_frames,
         "train_seconds": time.time() - t0,
     }
@@ -335,12 +331,12 @@ def pipeline():
 
 def test_criterion_07_cascade_beats_proposals(pipeline):
     t0 = time.time()
-    prop_dets, mr_prop, _ = _eval_rescorer(pipeline, None)
+    prop_dets, mr_prop = _eval_rescorer(pipeline, None)
     rc = recall_vs_iou(prop_dets, pipeline["test_frames"])
     recall = float(rc.y[0])
     avg_props = float(rc.meta["avg_proposals_per_image"])
 
-    _, mr_casc, _ = _eval_rescorer(pipeline, pipeline["cascade"].rescorer)
+    _, mr_casc = _eval_rescorer(pipeline, pipeline["cascade"].rescorer)
     elapsed = pipeline["train_seconds"] + (time.time() - t0)
     _verdict(7, mr_casc < mr_prop and recall >= 0.9 and avg_props <= 3.0
              and elapsed <= 900,
@@ -352,17 +348,16 @@ def test_criterion_07_cascade_beats_proposals(pipeline):
 def test_criterion_08_random_negatives_are_worse(pipeline):
     t0 = time.time()
     cfg = pipeline["cfg"]
-    iou_rescorer = train_rescorer(
-        pipeline["train_pairs"], pipeline["train_frames"],
-        pipeline["train_props"], cfg,
-    )
+    # train_cascade trained its rescorer on these proposals with this config:
+    # the IoU-negative rescorer (tests/test_cascade.py pins the equality)
+    iou_rescorer = pipeline["cascade"].rescorer
     rand_cfg = dc_replace(cfg, policy=dc_replace(cfg.policy, neg_source="random"))
     rand_rescorer = train_rescorer(
         pipeline["train_pairs"], pipeline["train_frames"],
         pipeline["train_props"], rand_cfg,
     )
-    _, mr_iou, _ = _eval_rescorer(pipeline, iou_rescorer)
-    _, mr_rand, _ = _eval_rescorer(pipeline, rand_rescorer)
+    _, mr_iou = _eval_rescorer(pipeline, iou_rescorer)
+    _, mr_rand = _eval_rescorer(pipeline, rand_rescorer)
     elapsed = time.time() - t0
     _verdict(8, mr_rand > mr_iou and elapsed <= 900,
              f"random-negative LAMR {mr_rand:.4f} > IoU<0.5 LAMR {mr_iou:.4f}, "

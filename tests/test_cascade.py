@@ -18,17 +18,21 @@ from pedcascade.cascade import (
     SvmRescorer,
     TimingReport,
     load_rescorer,
+    propose,
+    rescore,
     run_cascade,
     save_rescorer,
     train_cascade,
     train_proposal_forest,
+    train_rescorer,
 )
 from pedcascade.channels import compute_channels
 from pedcascade.convnet import (
     NetModel, NetSpec, ConvSpec, PoolSpec, ReLUSpec, FCSpec, SoftmaxSpec, TrainConfig,
     read_net, save_net,
 )
-from pedcascade.data import BatchRatio, BatchSampler, extract_window, jittered_negatives
+from pedcascade.data import (BatchRatio, BatchSampler, detections_to_json, extract_window,
+                             jittered_negatives)
 from pedcascade.forest import (detect, default_candidate_rects, filter_proposals,
                                forest_to_json, train_forest)
 
@@ -196,6 +200,68 @@ class TestRunCascade:
         assert out1 == out2
 
 
+def detect_failing_on(bad):
+    """forest.detect, except that it raises on the image `bad`."""
+    def failing(img, model, sliding):
+        if img is bad:
+            raise RuntimeError("boom")
+        return detect(img, model, sliding)
+    return failing
+
+
+class TestProposeRescore:
+    """run_cascade is propose, then rescore."""
+
+    @pytest.mark.parametrize("kind", ["none", "identity", "net"])
+    def test_run_cascade_is_propose_then_rescore(self, tiny_world, tiny_forest, kind):
+        images, _ = tiny_world
+        rescorer = {"none": None, "identity": identity,
+                    "net": NetRescorer(NetModel(tiny_net_spec(), seed=1), input_mean=0.3)}[kind]
+        cfg = base_config(tiny_forest, rescorer=rescorer)
+        out, _ = run_cascade(images, cfg)
+
+        threshold, proposals = propose(images, tiny_forest, cfg.sliding,
+                                       cfg.proposal_filter_avg)
+        dets = [detect(img, tiny_forest, TINY_SLIDING) for _, img in images]
+        assert (threshold, proposals) == filter_proposals(dets, cfg.proposal_filter_avg)
+        got = rescore(images, proposals, rescorer, cfg.geometry, cfg.final_nms_iou)
+        assert detections_to_json(got) == detections_to_json(out)
+
+    def test_rescore_rejects_misaligned_proposals(self, tiny_world, tiny_forest):
+        images, _ = tiny_world
+        _, proposals = propose(images, tiny_forest, TINY_SLIDING, 3.0)
+        with pytest.raises(CascadeError, match="proposal lists"):
+            rescore(images, proposals[:-1], identity, TINY_GEOM, 0.5)
+        with pytest.raises(CascadeError, match="proposal lists"):
+            rescore(images[:-1], proposals, identity, TINY_GEOM, 0.5)
+
+    def test_rescore_rejects_duplicate_frame_ids(self, tiny_world, tiny_forest):
+        images, _ = tiny_world
+        _, proposals = propose(images[:1], tiny_forest, TINY_SLIDING, 3.0)
+        with pytest.raises(CascadeError, match="duplicate"):
+            rescore(images[:1] * 2, proposals * 2, identity, TINY_GEOM, 0.5)
+
+    def test_rescore_without_rescorer_extracts_no_window(self, tiny_world, tiny_forest,
+                                                         monkeypatch):
+        images, _ = tiny_world
+        _, proposals = propose(images, tiny_forest, TINY_SLIDING, 3.0)
+
+        def exploding(*args):  # pragma: no cover - must not run
+            raise AssertionError("window extracted without a rescorer")
+
+        monkeypatch.setattr(cascade_module, "extract_window", exploding)
+        out = rescore(images, proposals, None, TINY_GEOM, 1.0)
+        assert [out[fid] for fid, _ in images] == [
+            nms_detections(p, 1.0) for p in proposals]
+        assert any(out.values())
+
+    def test_propose_failure_names_frame(self, tiny_world, tiny_forest, monkeypatch):
+        images, _ = tiny_world
+        monkeypatch.setattr(cascade_module, "detect", detect_failing_on(images[1][1]))
+        with pytest.raises(CascadeError, match=f"frame {images[1][0]}: proposal stage"):
+            propose(images, tiny_forest, TINY_SLIDING, 3.0)
+
+
 def tiny_net_spec():
     return NetSpec(
         (3, 32, 16),
@@ -242,6 +308,34 @@ class TestTrainCascade:
                 assert 0.0 <= d.score <= 1.0
         assert report.windows_scored > 0
         assert report.consistent(len(images))
+
+    def test_detect_failure_in_training_names_frame(self, tiny_world, monkeypatch):
+        images, frames = tiny_world
+        cfg = CascadeTrainConfig(n_trees=2, sliding=TINY_SLIDING, geometry=TINY_GEOM,
+                                 channel_cfg=TINY_CCFG, forest_negatives_per_frame=2)
+        monkeypatch.setattr(cascade_module, "detect", detect_failing_on(images[2][1]))
+        with pytest.raises(CascadeError, match=f"frame {images[2][0]}: .*boom"):
+            train_cascade(images, frames, cfg)
+
+    def test_rescorer_is_trained_on_the_proposals_propose_gives(self, tiny_world,
+                                                                 tmp_path):
+        """The cascade's rescorer is train_rescorer on the training frames'
+        propose output, so a caller holding those proposals need not retrain it."""
+        images, frames = tiny_world
+        cfg = CascadeTrainConfig(
+            n_trees=8, sliding=TINY_SLIDING, geometry=TINY_GEOM,
+            channel_cfg=TINY_CCFG, net_spec=tiny_net_spec(),
+            net_train=TrainConfig(batch=12, epochs=2, extra_epochs=1, seed=0),
+            forest_negatives_per_frame=6,
+        )
+        cascade = train_cascade(images, frames, cfg)
+        _, proposals = propose(images, cascade.proposal_model, cfg.sliding,
+                               cfg.proposal_filter_avg)
+        again = train_rescorer(images, frames, proposals, cfg)
+        assert again.input_mean == cascade.rescorer.input_mean
+        save_net(cascade.rescorer.model, tmp_path / "a.bin")
+        save_net(again.model, tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
     def test_deterministic_training(self, tiny_world):
         images, frames = tiny_world

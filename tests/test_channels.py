@@ -284,12 +284,6 @@ class TestComputeChannels:
         total = sum(stack.channels[1:7])
         assert np.max(np.abs(total - mag)) <= 1e-9
 
-    def test_pre_blur_keeps_conservation(self):
-        rng = np.random.default_rng(8)
-        stack = compute_channels(rand_rgb(rng), ChannelConfig("HOG_LUV", pre_blur=True))
-        total = sum(stack.channels[1:7])
-        assert np.max(np.abs(total - stack.channels[0])) <= 1e-9
-
     def test_g_luv_planes_are_bit_equal_to_their_parts(self):
         rng = np.random.default_rng(9)
         img = rand_rgb(rng)

@@ -248,7 +248,7 @@ class TestDetect:
 
 
 def _malform(d, case):
-    """The forest JSON `d` broken in one of six ways."""
+    """The forest JSON `d` broken in one of seven ways."""
     if case == "missing_trees":
         del d["trees"]
     elif case == "unsupported_version":
@@ -262,6 +262,8 @@ def _malform(d, case):
     elif case == "rect_outside_window":
         h, w = d["model_window"]
         d["trees"][0]["left"]["rect"] = [w - 4, h - 4, 8, 8]
+    elif case == "pre_blur":
+        d["channel_cfg"]["pre_blur"] = True
     return d
 
 
@@ -281,7 +283,7 @@ class TestMalformedForest:
 
     @pytest.mark.parametrize("case", ["missing_trees", "unsupported_version",
                                       "empty_tree_list", "tree_weight_missing",
-                                      "three_leaves", "rect_outside_window"])
+                                      "three_leaves", "rect_outside_window", "pre_blur"])
     def test_detect_exits_2(self, tmp_path, images_dir, tiny_forest, capsys, case):
         model_path = tmp_path / "forest.json"
         model_path.write_text(json.dumps(_malform(forest_to_json(tiny_forest), case)))
@@ -296,13 +298,13 @@ class TestMalformedForest:
     def test_bench_and_compile_exit_2(self, tmp_path, images_dir, tiny_forest, capsys,
                                       command):
         model_path = tmp_path / "forest.json"
-        model_path.write_text(json.dumps(_malform(forest_to_json(tiny_forest),
-                                                  "rect_outside_window")))
         args = ["--model", model_path]
         if command == "bench":
             args += ["--images", images_dir]
-        assert run(["--out-dir", tmp_path, command] + args) == 2 == EXIT_DATA
-        assert str(model_path) in capsys.readouterr().err
+        for case in ("rect_outside_window", "pre_blur"):
+            model_path.write_text(json.dumps(_malform(forest_to_json(tiny_forest), case)))
+            assert run(["--out-dir", tmp_path, command] + args) == 2 == EXIT_DATA
+            assert str(model_path) in capsys.readouterr().err
 
 
 class TestSweep:

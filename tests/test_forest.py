@@ -678,6 +678,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="4 leaf values"):
             forest_from_json(d)
 
+    def test_pre_blur_loads_only_as_false_or_missing(self):
+        d = forest_to_json(random_forest(np.random.default_rng(22), 2, WIN, n_channels=3))
+        assert d["channel_cfg"]["pre_blur"] is False
+        del d["channel_cfg"]["pre_blur"]
+        assert forest_to_json(forest_from_json(d))["channel_cfg"]["pre_blur"] is False
+        d["channel_cfg"]["pre_blur"] = True
+        with pytest.raises(ValueError, match="pre_blur"):
+            forest_from_json(d)
+
     def test_rectangle_filling_the_window_loads(self):
         d = forest_to_json(random_forest(np.random.default_rng(19), 1, WIN, n_channels=3))
         d["trees"][0]["root"]["rect"] = [0, 0, WIN[1], WIN[0]]

@@ -9,7 +9,6 @@ from pedcascade.imageops import (
     centered_gradients,
     read_pnm,
     sample_box_bilinear,
-    triangle_blur,
     write_pnm,
 )
 
@@ -202,24 +201,6 @@ class TestBilinear:
 
 
 class TestBlurAndGradients:
-    def test_blur_preserves_constant(self):
-        arr = np.full((8, 9), 2.5)
-        assert np.allclose(triangle_blur(arr), 2.5)
-
-    def test_blur_kernel_weights(self):
-        arr = np.zeros((5, 5))
-        arr[2, 2] = 16.0
-        out = triangle_blur(arr)
-        # separable [1,2,1]/4 x [1,2,1]/4 on the impulse
-        expected = np.outer([1, 2, 1], [1, 2, 1]) / 16.0 * 16.0
-        assert np.allclose(out[1:4, 1:4], expected)
-
-    def test_blur_preserves_total_mass_interior(self):
-        rng = np.random.default_rng(5)
-        arr = np.zeros((11, 11))
-        arr[3:8, 3:8] = rng.random((5, 5))
-        assert triangle_blur(arr).sum() == pytest.approx(arr.sum())
-
     def test_gradients_of_linear_ramp(self):
         yy, xx = np.mgrid[0:8, 0:9].astype(float)
         gx, gy = centered_gradients(3.0 * xx + 2.0 * yy)
