@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +42,20 @@ from .svm import SvmConfig, train_svm
 
 class CascadeError(RuntimeError):
     pass
+
+
+def _check_pairing(images, frames=None, proposals=None) -> None:
+    """CascadeError unless `frames` and `proposals`, where given, pair with
+    `images` by position: the i-th annotation is of the i-th image's frame
+    id, and there is one proposal list per image."""
+    if frames is not None:
+        ids = zip_longest((fid for fid, _ in images), (f.frame_id for f in frames))
+        for i, (fid, ann_id) in enumerate(ids):
+            if fid != ann_id:
+                raise CascadeError(f"images and annotations do not pair at position {i}: "
+                                   f"image {fid!r}, annotation {ann_id!r}")
+    if proposals is not None and len(proposals) != len(images):
+        raise CascadeError(f"{len(proposals)} proposal lists for {len(images)} images")
 
 
 def _window_batch(img, boxes, geom: WindowGeometry) -> np.ndarray:
@@ -158,16 +173,15 @@ def rescore(
 ) -> Dict[str, List[Detection]]:
     """Each frame's proposals rescored on their `geometry` windows, then
     final NMS (final_nms_iou=1.0 keeps every box).  Proposals pair with
-    images by position.  A None rescorer keeps the proposal scores and
-    extracts no window.
+    images by position (else a CascadeError).  A None rescorer keeps the
+    proposal scores and extracts no window.
 
     Rescoring only rewrites scores; box geometry is untouched before NMS.
     """
     ids = [fid for fid, _ in images]
     if len(set(ids)) != len(ids):
         raise CascadeError("duplicate frame ids")
-    if len(proposals) != len(images):
-        raise CascadeError(f"{len(proposals)} proposal lists for {len(images)} images")
+    _check_pairing(images, proposals=proposals)
     out: Dict[str, List[Detection]] = {}
     for (fid, img), dets in zip(images, proposals):
         boxes = [d.box for d in dets]
@@ -220,16 +234,12 @@ class CascadeTrainConfig:
     ratio: Optional[BatchRatio] = field(default_factory=lambda: BatchRatio(1, 5))
     net_train: TrainConfig = field(default_factory=TrainConfig)
     net_spec: Optional[NetSpec] = None  # default: cifarnet sized to the window
-    rescorer_kind: str = "net"  # "net", "svm", or "identity"
-    svm: SvmConfig = field(default_factory=SvmConfig)
     forest_negatives_per_frame: int = 20
     proposal_filter_avg: float = 3.0
     seed: int = 0
 
     def __post_init__(self):
         _check_proposal_budget(self.proposal_filter_avg)
-        if self.rescorer_kind not in ("net", "svm", "identity"):
-            raise ValueError(f"bad rescorer_kind {self.rescorer_kind!r}")
 
 
 class _WindowStacks:
@@ -275,8 +285,9 @@ def forest_training_pool(
     Positives are the GT boxes.  Negatives are, per frame,
     cfg.forest_negatives_per_frame random boxes below cfg.policy.neg_iou with
     every GT box, plus three jittered copies of each GT box.  Frames pair
-    with images by position.
+    with images by position (else a CascadeError).
     """
+    _check_pairing(images, frames)
     pos, neg = [], []
     for (_, img), ann in zip(images, frames):
         pos.append((img, ann.gt_boxes))
@@ -307,8 +318,10 @@ def train_proposal_forest(
 
 def rescorer_training_pool(images, frames, proposals, cfg: CascadeTrainConfig, rng):
     """Labeled (image-layout window, 0/1) pool for the second stage, per the
-    policy.  Frames and proposals pair with images by position; with
-    neg_source "random", each frame draws len(proposals) + 4 candidates."""
+    policy.  Frames and proposals pair with images by position (else a
+    CascadeError); with neg_source "random", each frame draws
+    len(proposals) + 4 candidates."""
+    _check_pairing(images, frames, proposals)
     geom = cfg.net_geometry or cfg.geometry
     windows, labels = [], []
     for (fid, img), ann, props in zip(images, frames, proposals):
@@ -359,15 +372,13 @@ def train_rescorer(
     frames: Sequence[FrameAnnotation],
     proposals: Sequence[Sequence[Detection]],
     cfg: CascadeTrainConfig,
-):
-    """Train the second-stage rescorer on windows labeled from filtered
-    proposals.  Returns a callable rescorer (net or SVM head per the config)."""
+) -> NetRescorer:
+    """The second-stage net: rescorer_training_pool on the proposals, drawn
+    with a generator seeded by cfg.seed, then train_net_rescorer.  An SVM
+    head on it is train_svm_head's."""
     rng = np.random.default_rng(cfg.seed)
     windows, labels = rescorer_training_pool(images, frames, proposals, cfg, rng)
-    rescorer = train_net_rescorer(windows, labels, cfg)
-    if cfg.rescorer_kind == "net":
-        return rescorer
-    return train_svm_head(rescorer, windows, labels, cfg.svm)
+    return train_net_rescorer(windows, labels, cfg)
 
 
 def save_rescorer(rescorer, path) -> None:
@@ -401,22 +412,14 @@ def train_cascade(
     frames: Sequence[FrameAnnotation],
     cfg: CascadeTrainConfig,
 ) -> CascadeConfig:
-    """Train the proposal forest on GT vs random negatives, run it over the
-    training frames, label its proposals per the policy, train the rescorer
-    on the extracted windows, and assemble the cascade."""
-    if len(images) != len(frames) or not images:
-        raise CascadeError("need aligned, non-empty images and frames")
+    """The three training stages in turn: train_proposal_forest, propose
+    over the training frames, train_rescorer on those proposals; assembled
+    into the cascade.  Images and frames that do not pair are a
+    CascadeError before anything is fitted.  A proposals-only cascade is
+    CascadeConfig(train_proposal_forest(...), None, ...)."""
     forest = train_proposal_forest(images, frames, cfg)
-
-    if cfg.rescorer_kind == "identity":
-        return CascadeConfig(
-            proposal_model=forest, rescorer=None, proposal_filter_avg=cfg.proposal_filter_avg,
-            sliding=cfg.sliding, geometry=cfg.geometry,
-        )
-
     _, proposals = propose(images, forest, cfg.sliding, cfg.proposal_filter_avg)
     rescorer = train_rescorer(images, frames, proposals, cfg)
-
     return CascadeConfig(
         proposal_model=forest, rescorer=rescorer,
         proposal_filter_avg=cfg.proposal_filter_avg,

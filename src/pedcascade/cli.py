@@ -158,18 +158,24 @@ def _load(loader, path, kind: str):
         raise DataError(f"{path}: malformed {kind} file ({type(exc).__name__}: {exc})") from exc
 
 
+def _net_geometry(rescorer) -> WindowGeometry:
+    """The windows a rescorer reads: its net's input size, with the
+    pedestrian extent at OBJECT_EXTENT_RATIO of it."""
+    hw = rescorer.model.spec.input_shape[-2:]
+    return WindowGeometry(hw, tuple(n * OBJECT_EXTENT_RATIO for n in hw))
+
+
 def _cascade_config(args, threshold: float = 0.0, proposals_avg: float = 3.0) -> CascadeConfig:
     """The cascade `detect` and `bench` run: the --model forest, rescored by
     the --net rescorer when one is given, on windows of the net's input size."""
     forest = _load(load_forest, args.model, "forest")
     rescorer = _load(load_rescorer, args.net, "net") if args.net else None
-    hw = rescorer.model.spec.input_shape[-2:] if rescorer else WindowGeometry().window
     return CascadeConfig(
         proposal_model=forest,
         rescorer=rescorer,
         proposal_filter_avg=proposals_avg,
         sliding=SlidingWindowConfig(score_threshold=threshold),
-        geometry=WindowGeometry(hw, tuple(n * OBJECT_EXTENT_RATIO for n in hw)),
+        geometry=_net_geometry(rescorer) if rescorer else WindowGeometry(),
     )
 
 
@@ -307,12 +313,14 @@ def _cmd_train_svm(args) -> int:
         raise DataError(f"{args.net}: no layer named {args.feature_layer!r} "
                         f"(layers: {', '.join(net.model.layer_names)})")
     svm = SvmConfig(C=args.C, feature_layer=args.feature_layer)
-    cfg = CascadeTrainConfig(policy=LabelingPolicy(neg_iou=args.neg_overlap), seed=args.seed)
+    # proposal negatives only, so the pool draws nothing from the generator
+    cfg = CascadeTrainConfig(policy=LabelingPolicy(neg_iou=args.neg_overlap),
+                             net_geometry=_net_geometry(net))
     _write_manifest(args, "train-svm", {"C": svm.C, "neg_overlap": args.neg_overlap},
-                    {"seed": args.seed}, [args.annotations, args.proposals, args.net])
+                    {}, [args.annotations, args.proposals, args.net])
     try:
         windows, labels = rescorer_training_pool(images, frames, proposals, cfg,
-                                                 np.random.default_rng(args.seed))
+                                                 np.random.default_rng(cfg.seed))
     except CascadeError as exc:  # a single-class pool
         raise DataError(str(exc)) from exc
     head = train_svm_head(net, windows, labels, svm)
@@ -467,7 +475,6 @@ def build_parser() -> _Parser:
     s.add_argument("--C", type=_POSITIVE, default=1e-3)
     s.add_argument("--neg-overlap", type=_UNIT, default=0.5)
     s.add_argument("--feature-layer", default="fc1")
-    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_train_svm)
 
     s = sub.add_parser("detect", help="run the detector (optionally with a rescoring net)")

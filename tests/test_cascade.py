@@ -20,6 +20,7 @@ from pedcascade.cascade import (
     load_rescorer,
     propose,
     rescore,
+    rescorer_training_pool,
     run_cascade,
     save_rescorer,
     train_cascade,
@@ -74,10 +75,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("iou", [0.0, 0.5, 1.0])
     def test_final_nms_iou_in_the_unit_interval(self, tiny_forest, iou):
         assert base_config(tiny_forest, final_nms_iou=iou).final_nms_iou == iou
-
-    def test_bad_rescorer_kind(self):
-        with pytest.raises(ValueError):
-            CascadeTrainConfig(rescorer_kind="forest")
 
 
 class TestTimingReport:
@@ -276,14 +273,14 @@ class TestTrainCascade:
             train_cascade([], [], CascadeTrainConfig())
 
     def test_identity_cascade_trains_and_runs(self, tiny_world):
+        """A proposals-only cascade: the trained forest and no rescorer."""
         images, frames = tiny_world
         cfg = CascadeTrainConfig(
             n_trees=8, sliding=TINY_SLIDING, geometry=TINY_GEOM,
-            channel_cfg=TINY_CCFG, rescorer_kind="identity",
-            forest_negatives_per_frame=6,
+            channel_cfg=TINY_CCFG, forest_negatives_per_frame=6,
         )
-        cascade = train_cascade(images, frames, cfg)
-        assert cascade.rescorer is None
+        cascade = CascadeConfig(train_proposal_forest(images, frames, cfg), None,
+                                sliding=cfg.sliding, geometry=cfg.geometry)
         out, report = run_cascade(images, cascade)
         assert report.consistent(len(images))
         # the proposal stage should find most of the easy figures
@@ -294,8 +291,7 @@ class TestTrainCascade:
         images, frames = tiny_world
         cfg = CascadeTrainConfig(
             n_trees=8, sliding=TINY_SLIDING, geometry=TINY_GEOM,
-            channel_cfg=TINY_CCFG, rescorer_kind="net",
-            net_spec=tiny_net_spec(),
+            channel_cfg=TINY_CCFG, net_spec=tiny_net_spec(),
             net_train=TrainConfig(batch=12, epochs=2, extra_epochs=1, seed=0),
             ratio=BatchRatio(1, 5),
             forest_negatives_per_frame=6,
@@ -319,8 +315,9 @@ class TestTrainCascade:
 
     def test_rescorer_is_trained_on_the_proposals_propose_gives(self, tiny_world,
                                                                  tmp_path):
-        """The cascade's rescorer is train_rescorer on the training frames'
-        propose output, so a caller holding those proposals need not retrain it."""
+        """train_cascade is train_proposal_forest, propose over the training
+        frames, then train_rescorer on those proposals, so a caller that runs
+        the three stages itself gets the same forest and rescorer."""
         images, frames = tiny_world
         cfg = CascadeTrainConfig(
             n_trees=8, sliding=TINY_SLIDING, geometry=TINY_GEOM,
@@ -329,8 +326,9 @@ class TestTrainCascade:
             forest_negatives_per_frame=6,
         )
         cascade = train_cascade(images, frames, cfg)
-        _, proposals = propose(images, cascade.proposal_model, cfg.sliding,
-                               cfg.proposal_filter_avg)
+        forest = train_proposal_forest(images, frames, cfg)
+        assert forest_to_json(forest) == forest_to_json(cascade.proposal_model)
+        _, proposals = propose(images, forest, cfg.sliding, cfg.proposal_filter_avg)
         again = train_rescorer(images, frames, proposals, cfg)
         assert again.input_mean == cascade.rescorer.input_mean
         save_net(cascade.rescorer.model, tmp_path / "a.bin")
@@ -341,14 +339,54 @@ class TestTrainCascade:
         images, frames = tiny_world
         cfg = CascadeTrainConfig(
             n_trees=3, sliding=TINY_SLIDING, geometry=TINY_GEOM,
-            channel_cfg=TINY_CCFG, rescorer_kind="identity",
-            forest_negatives_per_frame=5, seed=3,
+            channel_cfg=TINY_CCFG, forest_negatives_per_frame=5, seed=3,
         )
-        a = train_cascade(images, frames, cfg)
-        b = train_cascade(images, frames, cfg)
-        from pedcascade.forest import forest_to_json
+        a = train_proposal_forest(images, frames, cfg)
+        b = train_proposal_forest(images, frames, cfg)
+        assert forest_to_json(a) == forest_to_json(b)
 
-        assert forest_to_json(a.proposal_model) == forest_to_json(b.proposal_model)
+
+def never_called(*args, **kwargs):  # pragma: no cover - must not run
+    raise AssertionError("trained on frames that do not pair")
+
+
+class TestPairing:
+    """Training rejects images, annotations and proposal lists that do not
+    pair by position, naming the first frame id that differs, before it fits
+    anything."""
+
+    CFG = CascadeTrainConfig(n_trees=2, sliding=TINY_SLIDING, geometry=TINY_GEOM,
+                             channel_cfg=TINY_CCFG, forest_negatives_per_frame=2)
+
+    def test_more_images_than_annotations(self, tiny_world, monkeypatch):
+        images, frames = tiny_world
+        monkeypatch.setattr(cascade_module, "train_forest", never_called)
+        with pytest.raises(CascadeError, match="position 3: image 'w003', annotation None"):
+            train_proposal_forest(images, frames[:3], self.CFG)
+
+    def test_more_annotations_than_images(self, tiny_world, monkeypatch):
+        images, frames = tiny_world
+        monkeypatch.setattr(cascade_module, "train_forest", never_called)
+        with pytest.raises(CascadeError, match="position 9: image None, annotation 'w009'"):
+            train_cascade(images[:9], frames, self.CFG)
+
+    def test_mispaired_frames(self, tiny_world, monkeypatch):
+        images, frames = tiny_world
+        monkeypatch.setattr(cascade_module, "train_forest", never_called)
+        with pytest.raises(CascadeError, match="position 0: image 'w000', annotation 'w009'"):
+            train_cascade(images, frames[::-1], self.CFG)
+
+    def test_rescorer_pool(self, tiny_world):
+        images, frames = tiny_world
+        proposals = [[] for _ in images]
+        rng = np.random.default_rng(0)
+        swapped = [frames[1], frames[0]] + frames[2:]
+        with pytest.raises(CascadeError, match="position 0: image 'w000', annotation 'w001'"):
+            rescorer_training_pool(images, swapped, proposals, self.CFG, rng)
+        with pytest.raises(CascadeError, match="9 proposal lists for 10 images"):
+            rescorer_training_pool(images, frames, proposals[1:], self.CFG, rng)
+        with pytest.raises(CascadeError, match="10 proposal lists for 9 images"):
+            train_rescorer(images[:9], frames[:9], proposals, self.CFG)
 
 
 def eager_forest_pool(images, frames, cfg, rng):

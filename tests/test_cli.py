@@ -442,18 +442,18 @@ class TestTrainRescorer:
         save_rescorer(rescorer, lib_net)
         assert cli_net.read_bytes() == lib_net.read_bytes()
 
-    def test_train_svm_writes_the_library_head(self, tmp_path, rescorer_data, capsys):
+    def check_svm_head(self, tmp_path, rescorer_data, net, cfg):
+        """train-svm on `net` writes the head train_svm_head fits on the pool
+        that `cfg` draws."""
         args, images, frames, proposals = rescorer_data
-        net = NetRescorer(small_net(), input_mean=0.3)
         net_path = tmp_path / "net.bin"
         save_rescorer(net, net_path)
         svm_path = tmp_path / "svm.bin"
         assert run(["--out-dir", tmp_path, "train-svm", *args, "--net", net_path,
-                    "--svm-out", svm_path, "--seed", "4"]) == EXIT_OK
+                    "--svm-out", svm_path]) == EXIT_OK
 
-        windows, labels = rescorer_training_pool(images, frames, proposals,
-                                                 CascadeTrainConfig(seed=4),
-                                                 np.random.default_rng(4))
+        windows, labels = rescorer_training_pool(images, frames, proposals, cfg,
+                                                 np.random.default_rng(0))
         head = train_svm_head(net, windows, labels, SvmConfig())
         loaded = load_rescorer(svm_path)
         assert isinstance(loaded, SvmRescorer)
@@ -462,6 +462,28 @@ class TestTrainRescorer:
         x = np.stack(windows)
         assert np.array_equal(loaded(x, None), head(x, None))
 
+    def test_train_svm_writes_the_library_head(self, tmp_path, rescorer_data, capsys):
+        self.check_svm_head(tmp_path, rescorer_data, NetRescorer(small_net(), input_mean=0.3),
+                            CascadeTrainConfig())
+
+    def test_train_svm_reads_windows_at_the_net_size(self, tmp_path, rescorer_data, capsys):
+        """A 32x16 net's pool is read at 32x16, the extent at 3/4, as detect
+        reads its windows."""
+        net = NetRescorer(small_net(input_hw=(32, 16)), input_mean=0.3)
+        geometry = WindowGeometry((32, 16), (24, 12))
+        self.check_svm_head(tmp_path, rescorer_data, net,
+                            CascadeTrainConfig(net_geometry=geometry))
+
+    def test_train_svm_has_no_seed(self, tmp_path, rescorer_data, capsys):
+        """The SVM pool draws nothing at random, so there is no --seed."""
+        args, _, _, _ = rescorer_data
+        net_path = tmp_path / "net.bin"
+        save_rescorer(NetRescorer(small_net()), net_path)
+        out = tmp_path / "out"
+        assert run(["--out-dir", out, "train-svm", *args, "--net", net_path,
+                    "--svm-out", out / "svm.bin", "--seed", "4"]) == EXIT_USAGE
+        assert "unrecognized arguments: --seed 4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_misspelt_net_key_exits_2(self, tmp_path, rescorer_data, capsys):
         args, _, _, _ = rescorer_data
