@@ -73,8 +73,7 @@ def main():
     stamp(f"test frames proposed ({windows} proposals)")
 
     def rescored(rescorer):
-        return rescore(test_pairs, test_props, rescorer, cascade.geometry,
-                       cascade.final_nms_iou)
+        return rescore(test_pairs, test_props, rescorer, cascade.geometry)
 
     prop_dets = rescored(None)
     rc = recall_vs_iou(prop_dets, test_frames)

@@ -35,7 +35,7 @@ from .forest import (
     filter_proposals,
     train_forest,
 )
-from .geometry import Detection, box_array, iou_matrix, nms
+from .geometry import NMS_IOU, Detection, box_array, nms
 from .imageops import Image
 from .svm import SvmConfig, train_svm
 
@@ -111,14 +111,11 @@ class CascadeConfig:
     proposal_model: ForestModel
     rescorer: Optional[object]  # callable(windows, scores) -> scores; None: proposals only
     proposal_filter_avg: float = 3.0
-    final_nms_iou: float = 0.5
     sliding: SlidingWindowConfig = field(default_factory=SlidingWindowConfig)
     geometry: WindowGeometry = field(default_factory=WindowGeometry)
 
     def __post_init__(self):
         _check_proposal_budget(self.proposal_filter_avg)
-        if not 0.0 <= self.final_nms_iou <= 1.0:
-            raise ValueError(f"final_nms_iou must be in [0,1], got {self.final_nms_iou}")
 
 
 @dataclass
@@ -169,12 +166,11 @@ def rescore(
     proposals: Sequence[Sequence[Detection]],
     rescorer: Optional[object],
     geometry: WindowGeometry,
-    final_nms_iou: float,
 ) -> Dict[str, List[Detection]]:
     """Each frame's proposals rescored on their `geometry` windows, then
-    final NMS (final_nms_iou=1.0 keeps every box).  Proposals pair with
-    images by position (else a CascadeError).  A None rescorer keeps the
-    proposal scores and extracts no window.
+    final NMS at NMS_IOU.  Proposals pair with images by position (else a
+    CascadeError).  A None rescorer keeps the proposal scores and extracts
+    no window.
 
     Rescoring only rewrites scores; box geometry is untouched before NMS.
     """
@@ -192,7 +188,7 @@ def rescore(
                                     dtype=np.float64)
             except Exception as exc:
                 raise CascadeError(f"frame {fid}: rescoring failed: {exc}") from exc
-        keep = nms(box_array(boxes), scores, final_nms_iou)
+        keep = nms(box_array(boxes), scores, NMS_IOU)
         out[fid] = [Detection(boxes[i], s) for i, s in zip(keep.tolist(), scores[keep].tolist())]
     return out
 
@@ -206,7 +202,7 @@ def run_cascade(
     t0 = time.perf_counter()
     _, proposals = propose(images, cfg.proposal_model, cfg.sliding, cfg.proposal_filter_avg)
     t1 = time.perf_counter()
-    out = rescore(images, proposals, cfg.rescorer, cfg.geometry, cfg.final_nms_iou)
+    out = rescore(images, proposals, cfg.rescorer, cfg.geometry)
     t2 = time.perf_counter()
 
     windows = sum(map(len, proposals)) if cfg.rescorer is not None else 0
@@ -262,15 +258,6 @@ class _WindowStacks:
                                        self.cfg.channel_cfg, self.pitch)
 
 
-def _random_negatives(n, img, ann, geom, cfg: CascadeTrainConfig, rng):
-    """n random boxes of at least cfg.sliding.min_height, kept when below
-    cfg.policy.neg_iou with every GT box."""
-    cand = random_boxes(n, (img.height, img.width), rng, geom,
-                        min_height=int(cfg.sliding.min_height))
-    best = iou_matrix(cand, ann.gt_boxes).max(axis=1, initial=0.0)
-    return [b for b, o in zip(cand, best) if o < cfg.policy.neg_iou]
-
-
 def forest_training_pool(
     images: Sequence[Tuple[str, Image]],
     frames: Sequence[FrameAnnotation],
@@ -282,18 +269,19 @@ def forest_training_pool(
     when iterated, its integrals at the pitch of the default candidate
     rectangles that train_proposal_forest fits over.
 
-    Positives are the GT boxes.  Negatives are, per frame,
-    cfg.forest_negatives_per_frame random boxes below cfg.policy.neg_iou with
-    every GT box, plus three jittered copies of each GT box.  Frames pair
-    with images by position (else a CascadeError).
+    Positives are the GT boxes.  Negatives are, per frame, those of
+    cfg.forest_negatives_per_frame random boxes that label_proposals labels
+    negative, plus three jittered copies of each GT box.  Frames pair with
+    images by position (else a CascadeError).
     """
     _check_pairing(images, frames)
     pos, neg = [], []
     for (_, img), ann in zip(images, frames):
         pos.append((img, ann.gt_boxes))
-        keep = _random_negatives(cfg.forest_negatives_per_frame, img, ann, cfg.geometry,
-                                 cfg, rng)
-        keep += jittered_negatives(
+        cand = random_boxes(cfg.forest_negatives_per_frame, (img.height, img.width), rng,
+                            cfg.geometry, min_height=int(cfg.sliding.min_height))
+        labs = label_proposals(cand, ann.gt_boxes, cfg.policy)
+        keep = [b for b, l in zip(cand, labs) if l == LABEL_NEG] + jittered_negatives(
             ann.gt_boxes, 3, (img.height, img.width), rng, cfg.policy.neg_iou
         )
         neg.append((img, keep))
@@ -319,8 +307,9 @@ def train_proposal_forest(
 def rescorer_training_pool(images, frames, proposals, cfg: CascadeTrainConfig, rng):
     """Labeled (image-layout window, 0/1) pool for the second stage, per the
     policy.  Frames and proposals pair with images by position (else a
-    CascadeError); with neg_source "random", each frame draws
-    len(proposals) + 4 candidates."""
+    CascadeError); with neg_source "random", the negatives are those of
+    len(proposals) + 4 random candidates per frame that label_proposals
+    labels negative."""
     _check_pairing(images, frames, proposals)
     geom = cfg.net_geometry or cfg.geometry
     windows, labels = [], []
@@ -329,9 +318,10 @@ def rescorer_training_pool(images, frames, proposals, cfg: CascadeTrainConfig, r
         labs = label_proposals(boxes, ann.gt_boxes, cfg.policy)
         pos = [b for b, l in zip(boxes, labs) if l == LABEL_POS] + list(ann.gt_boxes)
         if cfg.policy.neg_source == "random":
-            neg = _random_negatives(len(boxes) + 4, img, ann, geom, cfg, rng)
-        else:
-            neg = [b for b, l in zip(boxes, labs) if l == LABEL_NEG]
+            boxes = random_boxes(len(boxes) + 4, (img.height, img.width), rng, geom,
+                                 min_height=int(cfg.sliding.min_height))
+            labs = label_proposals(boxes, ann.gt_boxes, cfg.policy)
+        neg = [b for b, l in zip(boxes, labs) if l == LABEL_NEG]
         windows.extend(extract_window(img, b, geom) for b in pos + neg)
         labels.extend([1] * len(pos) + [0] * len(neg))
     if not any(labels) or all(labels):

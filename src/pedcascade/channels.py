@@ -13,6 +13,9 @@ from .imageops import Image, centered_gradients
 
 CHANNEL_COUNTS = {"RGB": 3, "LUV": 3, "G_LUV": 4, "HOG_L": 7, "HOG_LUV": 10}
 
+# Hard-binned orientation channels of the HOG kinds.
+ORIENTATION_BINS = 6
+
 # Fixed affine ranges used to rescale CIE L*u*v* into [0,1].
 _L_MAX = 100.0
 _U_MIN, _U_MAX = -134.0, 220.0
@@ -32,20 +35,14 @@ class ChannelConfig:
     """
 
     kind: str = "HOG_LUV"
-    orientation_bins: int = 6
 
     def __post_init__(self):
         if self.kind not in CHANNEL_COUNTS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.orientation_bins < 1:
-            raise ValueError("orientation_bins must be >= 1")
 
     @property
     def n_channels(self) -> int:
-        base = CHANNEL_COUNTS[self.kind]
-        if self.orientation_bins != 6 and self.kind in ("HOG_L", "HOG_LUV"):
-            return base - 6 + self.orientation_bins
-        return base
+        return CHANNEL_COUNTS[self.kind]
 
 
 @dataclass
@@ -209,10 +206,10 @@ def compute_channels(img: Union[Image, np.ndarray], cfg: ChannelConfig,
             mag, _ = gradient_channels(l, 0)
             planes = [mag, l, u, v]
         elif cfg.kind == "HOG_L":
-            _, oriented = gradient_channels(l, cfg.orientation_bins)
+            _, oriented = gradient_channels(l, ORIENTATION_BINS)
             planes = oriented + [l]
         elif cfg.kind == "HOG_LUV":
-            mag, oriented = gradient_channels(l, cfg.orientation_bins)
+            mag, oriented = gradient_channels(l, ORIENTATION_BINS)
             planes = [mag] + oriented + [l, u, v]
         else:  # pragma: no cover - guarded by ChannelConfig
             raise ValueError(cfg.kind)

@@ -51,7 +51,7 @@ from .evaluate import (
     recall_vs_iou,
     touching_fp_analysis,
 )
-from .forest import OBJECT_EXTENT_RATIO, SlidingWindowConfig, load_forest, save_forest
+from .forest import SlidingWindowConfig, load_forest, save_forest
 from .forest2nn import compile_forest, soften, to_netmodel, verify_equivalence
 from .imageops import Image, read_pnm, write_pnm
 from .manifest import RunManifest
@@ -143,26 +143,23 @@ def _load_images(path, color: bool = False) -> List[Tuple[str, Image]]:
         files = [p]
     images = []
     for f in files:
-        img = read_pnm(f)
+        img = _load(read_pnm, f, "image")
         if color and img.planes != 3:
             raise DataError(f"{f}: grayscale image; forest channels need a color (PPM) image")
         images.append((f.stem, img))
     return images
 
 
-def _load(loader, path, kind: str):
-    """loader(path); a malformed file is a DataError naming it."""
+def _load(loader, path, kind: str, *args):
+    """loader(path, *args); a malformed file is a DataError naming it."""
     try:
-        return loader(path)
+        return loader(path, *args)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed {kind} file ({type(exc).__name__}: {exc})") from exc
 
 
-def _net_geometry(rescorer) -> WindowGeometry:
-    """The windows a rescorer reads: its net's input size, with the
-    pedestrian extent at OBJECT_EXTENT_RATIO of it."""
-    hw = rescorer.model.spec.input_shape[-2:]
-    return WindowGeometry(hw, tuple(n * OBJECT_EXTENT_RATIO for n in hw))
+def _read_detections(path):
+    return detections_from_json(json.loads(Path(path).read_text()))
 
 
 def _cascade_config(args, threshold: float = 0.0, proposals_avg: float = 3.0) -> CascadeConfig:
@@ -175,7 +172,8 @@ def _cascade_config(args, threshold: float = 0.0, proposals_avg: float = 3.0) ->
         rescorer=rescorer,
         proposal_filter_avg=proposals_avg,
         sliding=SlidingWindowConfig(score_threshold=threshold),
-        geometry=_net_geometry(rescorer) if rescorer else WindowGeometry(),
+        geometry=(WindowGeometry.for_window(rescorer.model.spec.input_shape[-2:])
+                  if rescorer else WindowGeometry()),
     )
 
 
@@ -191,8 +189,9 @@ def _aligned_frames(images, frames):
 def _rescorer_inputs(args):
     """Images, their annotations and their proposals, aligned by frame id."""
     images = _load_images(args.images)
-    frames = _aligned_frames(images, load_annotations(args.annotations, args.format))
-    by_id = detections_from_json(json.loads(Path(args.proposals).read_text()))
+    frames = _aligned_frames(
+        images, _load(load_annotations, args.annotations, "annotation", args.format))
+    by_id = _load(_read_detections, args.proposals, "detections")
     return images, frames, [by_id.get(fid, []) for fid, _ in images]
 
 
@@ -243,7 +242,7 @@ def _cmd_train_forest(args) -> int:
     except (TypeError, ValueError) as exc:
         raise DataError(f"{args.config}: bad config ({exc})") from exc
     images = _load_images(args.images, color=True)
-    frames = load_annotations(args.annotations, args.format)
+    frames = _load(load_annotations, args.annotations, "annotation", args.format)
     _write_manifest(
         args, "train-forest",
         {"channels": channel_kind, "trees": n_trees},
@@ -287,13 +286,14 @@ def _cmd_train_net(args) -> int:
         train_kwargs["batch"] = args.batch
     try:  # a misspelt, misshapen, mistyped or out-of-range key
         tc = TrainConfig(seed=args.seed, **train_kwargs)
-        spec = default_cifarnet(input_channels=images[0][1].planes,
-                                input_hw=WindowGeometry().window, **cfgfile.get("net", {}))
+        net = {"input_hw": WindowGeometry().window, **cfgfile.get("net", {})}
+        spec = default_cifarnet(input_channels=images[0][1].planes, **net)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{args.config}: bad config ({exc})") from exc
     if why := _unsplit(tc.batch, args.ratio):  # --batch was checked by the parser
         raise DataError(f"{args.config}: bad config ({why})")
     cfg = CascadeTrainConfig(policy=LabelingPolicy(neg_source=args.neg_source), ratio=args.ratio,
+                             net_geometry=WindowGeometry.for_window(spec.input_shape[-2:]),
                              net_train=tc, net_spec=spec, seed=args.seed)
     _write_manifest(args, "train-net", {"train": vars(tc), "ratio": args.ratio and vars(args.ratio)},
                     {"seed": args.seed}, [args.annotations, args.proposals])
@@ -315,7 +315,8 @@ def _cmd_train_svm(args) -> int:
     svm = SvmConfig(C=args.C, feature_layer=args.feature_layer)
     # proposal negatives only, so the pool draws nothing from the generator
     cfg = CascadeTrainConfig(policy=LabelingPolicy(neg_iou=args.neg_overlap),
-                             net_geometry=_net_geometry(net))
+                             net_geometry=WindowGeometry.for_window(
+                                 net.model.spec.input_shape[-2:]))
     _write_manifest(args, "train-svm", {"C": svm.C, "neg_overlap": args.neg_overlap},
                     {}, [args.annotations, args.proposals, args.net])
     try:
@@ -346,8 +347,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    dets = detections_from_json(json.loads(Path(args.dets).read_text()))
-    frames = load_annotations(args.ann, args.format)
+    dets = _load(_read_detections, args.dets, "detections")
+    frames = _load(load_annotations, args.ann, "annotation", args.format)
     _write_manifest(args, f"evaluate {args.metric}", {"metric": args.metric}, {},
                     [args.dets, args.ann])
     out = _out_dir(args)

@@ -132,14 +132,13 @@ def default_cifarnet(
     conv_filters: Sequence[int] = (32, 32, 64),
     conv_kernels: Sequence[int] = (5, 5, 5),
     fc_units: int = 32,
-    n_classes: int = 2,
 ) -> NetSpec:
     """The default conv-pool stack: three conv layers with max, mean, mean
-    pooling, a hidden FC layer, and a 2-way softmax."""
+    pooling, a hidden FC layer, and the 2-way softmax a rescorer needs."""
     f1, f2, f3 = conv_filters
     k1, k2, k3 = conv_kernels
     return NetSpec(
-        input_shape=(input_channels, input_hw[0], input_hw[1]),
+        input_shape=(input_channels, *input_hw),
         layers=[
             ConvSpec(f1, k1),
             PoolSpec("max"),
@@ -151,7 +150,7 @@ def default_cifarnet(
             ReLUSpec(),
             PoolSpec("mean"),
             FCSpec(fc_units),
-            FCSpec(n_classes),
+            FCSpec(2),
             SoftmaxSpec(),
         ],
     )
@@ -403,6 +402,9 @@ def _build_layer(spec: LayerSpec, in_shape: Tuple[int, ...]):
     raise ValueError(f"unknown layer spec {spec!r}")
 
 
+LR_DROP = 0.1  # learning-rate factor of the extra epochs after the main phase
+
+
 @dataclass
 class TrainConfig:
     lr: float = 0.005
@@ -411,14 +413,13 @@ class TrainConfig:
     weight_decay: float = 0.005
     final_layer_decay: float = 1.0  # decay multiplier for the softmax-input FC layer
     epochs: int = 60
-    extra_epochs: int = 10  # trained at lr * lr_drop after the main phase
-    lr_drop: float = 0.1
+    extra_epochs: int = 10  # trained at lr * LR_DROP after the main phase
     init_sigma: float = 0.01
     first_layer_sigma: float = 0.0001
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("lr", "momentum", "batch", "weight_decay", "lr_drop", "init_sigma"):
+        for name in ("lr", "momentum", "batch", "weight_decay", "init_sigma"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("epochs", "extra_epochs"):
@@ -554,7 +555,7 @@ def sgd_train(model: NetModel, sampler, cfg: TrainConfig) -> NetModel:
     }
     total = cfg.epochs + cfg.extra_epochs
     for epoch in range(total):
-        lr = cfg.lr if epoch < cfg.epochs else cfg.lr * cfg.lr_drop
+        lr = cfg.lr if epoch < cfg.epochs else cfg.lr * LR_DROP
         losses = []
         for _ in range(sampler.batches_per_epoch):
             x, labels = sampler.next_batch()

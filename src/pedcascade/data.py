@@ -82,10 +82,21 @@ class BatchRatio:
             raise ValueError("ratio parts must be >= 1")
 
 
+# Fraction of the model window occupied by the object extent (96/128 = 48/64).
+OBJECT_EXTENT_RATIO = 0.75
+
+
 @dataclass(frozen=True)
 class WindowGeometry:
     window: Tuple[int, int] = (128, 64)  # (h, w)
     pedestrian_extent: Tuple[int, int] = (96, 48)
+
+    @classmethod
+    def for_window(cls, hw: Sequence[int]) -> "WindowGeometry":
+        """Windows of size `hw` with the pedestrian extent at
+        OBJECT_EXTENT_RATIO of it: the windows a rescorer whose net input is
+        `hw` reads."""
+        return cls(tuple(hw), tuple(n * OBJECT_EXTENT_RATIO for n in hw))
 
     @property
     def context_scale(self) -> float:
@@ -368,7 +379,6 @@ class BatchSampler:
         self.batch = batch
         self.ratio = ratio
         self.rng = np.random.default_rng(seed)
-        self.batch_history: List[Tuple[int, int]] = []  # (n_pos, n_neg) per batch
 
         if ratio is not None:
             total = ratio.pos + ratio.neg
@@ -397,6 +407,4 @@ class BatchSampler:
             )
             self.rng.shuffle(idx)
         x = np.stack([self.windows[i] for i in idx])
-        y = self.labels[idx]
-        self.batch_history.append((int(np.sum(y == 1)), int(np.sum(y == 0))))
-        return x, y
+        return x, self.labels[idx]

@@ -12,13 +12,11 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channels import (ChannelConfig, ChannelStack, PoolingRegions, compute_channels, pooled,
-                       pooling_regions, region_pitch)
-from .geometry import Box, Detection, nms
+from .channels import (ORIENTATION_BINS, ChannelConfig, ChannelStack, PoolingRegions,
+                       compute_channels, pooled, pooling_regions, region_pitch)
+from .data import OBJECT_EXTENT_RATIO
+from .geometry import NMS_IOU, Box, Detection, nms
 from .imageops import Image, bilinear_resize
-
-# Fraction of the model window occupied by the object extent (96/128 = 48/64).
-OBJECT_EXTENT_RATIO = 0.75
 
 N_THRESHOLD_QUANTILES = 256
 
@@ -83,7 +81,6 @@ class SlidingWindowConfig:
     scale_step: float = 2 ** (1 / 8)
     min_height: int = 50
     score_threshold: float = 0.0
-    nms_iou: float = 0.5
 
     def __post_init__(self):
         if self.stride < 1:
@@ -94,8 +91,6 @@ class SlidingWindowConfig:
             raise ValueError("min_height must be >= 1")
         if math.isnan(self.score_threshold):
             raise ValueError("score_threshold must not be NaN")
-        if not 0.0 <= self.nms_iou <= 1.0:
-            raise ValueError(f"nms_iou must be in [0,1], got {self.nms_iou}")
 
 
 def default_candidate_rects(
@@ -446,7 +441,7 @@ def detect(
                                np.full(keep_i.size, w), np.full(keep_i.size, h)], axis=1))
         scores.append(grid[keep_i, keep_j])
     boxes, scores = np.concatenate(boxes), np.concatenate(scores)
-    keep = nms(boxes, scores, cfg.nms_iou)
+    keep = nms(boxes, scores, NMS_IOU)
     return [Detection(Box(*b), s) for b, s in zip(boxes[keep].tolist(), scores[keep].tolist())]
 
 
@@ -518,8 +513,9 @@ def forest_to_json(model: ForestModel) -> dict:
         "early_stop": model.early_stop,
         "channel_cfg": {
             "kind": model.channel_cfg.kind,
-            "orientation_bins": model.channel_cfg.orientation_bins,
-            "pre_blur": False,  # never blurred; the key keeps the file format unchanged
+            # fixed settings; the keys keep the file format unchanged
+            "orientation_bins": ORIENTATION_BINS,
+            "pre_blur": False,
         },
         "tree_weights": list(model.tree_weights),
         "trees": [
@@ -542,6 +538,10 @@ def forest_from_json(d: dict) -> ForestModel:
     pre_blur = ccfg.pop("pre_blur", False)
     if pre_blur is not False:
         raise ValueError(f"pre_blur {pre_blur!r} is not supported; channels are never blurred")
+    bins = ccfg.pop("orientation_bins", ORIENTATION_BINS)
+    if bins != ORIENTATION_BINS:
+        raise ValueError(f"orientation_bins {bins!r} is not supported; "
+                         f"channels have {ORIENTATION_BINS} orientation bins")
     cfg = ChannelConfig(**ccfg)
     trees = [
         Tree2(

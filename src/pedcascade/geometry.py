@@ -98,6 +98,10 @@ def score_order(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return np.lexsort((boxes[:, 1], boxes[:, 0], -scores))
 
 
+# The overlap above which NMS suppresses, in detection and after rescoring alike.
+NMS_IOU = 0.5
+
+
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> np.ndarray:
     """Greedy non-maximum suppression of (n, 4) (x, y, w, h) rows by (n,) scores.
 

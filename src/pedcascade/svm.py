@@ -8,12 +8,14 @@ from typing import Tuple
 import numpy as np
 
 
+STEP_SIZE = 1.0  # initial step of the 1/t schedule
+
+
 @dataclass(frozen=True)
 class SvmConfig:
     C: float = 1e-3
     feature_layer: str = "fc1"
     iterations: int = 4000
-    step_size: float = 1.0
 
     def __post_init__(self):
         if self.C <= 0:
@@ -49,7 +51,7 @@ def train_svm(features: np.ndarray, labels: np.ndarray, cfg: SvmConfig) -> Tuple
         active = margins < 1.0
         gw = w - cfg.C * (y[active, None] * X[active]).sum(axis=0)
         gb = -cfg.C * y[active].sum()
-        eta = cfg.step_size / (1.0 + 0.1 * t)
+        eta = STEP_SIZE / (1.0 + 0.1 * t)
         w = w - eta * gw
         b = b - eta * gb
         w_avg += (w - w_avg) / t

@@ -90,7 +90,7 @@ def task_runner(task: dict) -> Callable[[Dict[str, object], int], float]:
     n_frames = int(task.get("frames", 12))
     epochs = int(task.get("epochs", 3))
     hw = tuple(task.get("window", [32, 16]))
-    geometry = WindowGeometry(window=hw, pedestrian_extent=(hw[0] * 3 // 4, hw[1] * 3 // 4))
+    geometry = WindowGeometry.for_window(hw)
 
     def run(params: dict, seed: int) -> float:
         images, frames = synth_dataset(SynthSpec(n_frames=n_frames, clutter=2.0), seed=seed)

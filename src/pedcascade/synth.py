@@ -4,7 +4,7 @@ pedestrian glyphs with exact ground-truth boxes, plus configurable clutter."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .imageops import Image
 class SynthSpec:
     n_frames: int = 50
     image_hw: Tuple[int, int] = (240, 320)
-    peds_per_frame: Union[int, Tuple[int, int]] = (1, 2)
+    peds_per_frame: Tuple[int, int] = (1, 2)  # (lo, hi), inclusive
     height_range: Tuple[float, float] = (64.0, 120.0)
     clutter: float = 0.0  # expected distractor shapes per frame
     noise: float = 0.01  # pixel noise sigma
@@ -30,12 +30,6 @@ class SynthSpec:
             raise ValueError("bad height_range")
         if self.clutter < 0 or self.noise < 0:
             raise ValueError("clutter and noise must be >= 0")
-
-    @property
-    def ped_count_range(self) -> Tuple[int, int]:
-        if isinstance(self.peds_per_frame, int):
-            return (self.peds_per_frame, self.peds_per_frame)
-        return self.peds_per_frame
 
 
 def _draw_ellipse(img: np.ndarray, cx, cy, rx, ry, color) -> None:
@@ -129,7 +123,7 @@ def synth_dataset(spec: SynthSpec, seed: int = 0):
     """
     rng = np.random.default_rng(seed)
     h, w = spec.image_hw
-    lo_n, hi_n = spec.ped_count_range
+    lo_n, hi_n = spec.peds_per_frame
     images: List[Image] = []
     frames: List[FrameAnnotation] = []
 

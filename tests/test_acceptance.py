@@ -293,7 +293,7 @@ def _cifarnet_small():
 def _eval_rescorer(pipeline, rescorer):
     """The test frames' one proposal set, rescored by `rescorer` (None: the
     forest scores), and its LAMR."""
-    dets = rescore(pipeline["test_pairs"], pipeline["test_props"], rescorer, NET_GEOM, 0.5)
+    dets = rescore(pipeline["test_pairs"], pipeline["test_props"], rescorer, NET_GEOM)
     _, mr = lamr(dets, pipeline["test_frames"])
     return dets, mr
 

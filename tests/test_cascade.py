@@ -10,7 +10,6 @@ import pytest
 from conftest import TINY_CCFG, TINY_GEOM, TINY_SLIDING
 from pedcascade import cascade as cascade_module
 from pedcascade.cascade import (
-    _random_negatives,
     CascadeConfig,
     CascadeError,
     CascadeTrainConfig,
@@ -33,9 +32,10 @@ from pedcascade.convnet import (
     read_net, save_net,
 )
 from pedcascade.data import (BatchRatio, BatchSampler, detections_to_json, extract_window,
-                             jittered_negatives)
+                             jittered_negatives, random_boxes)
 from pedcascade.forest import (detect, default_candidate_rects, filter_proposals,
                                forest_to_json, train_forest)
+from pedcascade.geometry import NMS_IOU, Detection, iou_matrix
 
 from test_geometry import nms_detections
 
@@ -66,15 +66,6 @@ class TestConfigValidation:
             base_config(tiny_forest, proposal_filter_avg=avg)
         with pytest.raises(ValueError, match=f"proposal_filter_avg .* got {avg}"):
             CascadeTrainConfig(proposal_filter_avg=avg)
-
-    @pytest.mark.parametrize("iou", [-0.5, 1.5, float("nan")])
-    def test_final_nms_iou_outside_the_unit_interval(self, tiny_forest, iou):
-        with pytest.raises(ValueError, match="final_nms_iou"):
-            base_config(tiny_forest, final_nms_iou=iou)
-
-    @pytest.mark.parametrize("iou", [0.0, 0.5, 1.0])
-    def test_final_nms_iou_in_the_unit_interval(self, tiny_forest, iou):
-        assert base_config(tiny_forest, final_nms_iou=iou).final_nms_iou == iou
 
 
 class TestTimingReport:
@@ -121,7 +112,7 @@ class TestRunCascade:
         proposals = [detect(img, tiny_forest, TINY_SLIDING) for _, img in images]
         _, filtered = filter_proposals(proposals, cfg.proposal_filter_avg)
         for (fid, _), dets in zip(images, filtered):
-            assert out[fid] == nms_detections(dets, cfg.final_nms_iou)
+            assert out[fid] == nms_detections(dets, NMS_IOU)
         assert report.consistent(len(images))
         assert report.windows_scored == sum(map(len, filtered))
 
@@ -146,20 +137,27 @@ class TestRunCascade:
             run_cascade(images, base_config(tiny_forest, rescorer=nan))
 
     def test_rescoring_keeps_geometry(self, tiny_world, tiny_forest):
+        """The output is the final NMS of the proposal boxes, untouched, under
+        the scores the rescorer gave them."""
         images, _ = tiny_world
         rng = np.random.default_rng(0)
+        given = []
 
         def jumble(wins, scores):
-            return rng.random(len(scores))
+            given.append(rng.random(len(scores)))
+            return given[-1]
 
-        # final NMS at IoU 1.0 suppresses nothing: it removes only IoU > threshold
-        cfg = base_config(tiny_forest, rescorer=jumble, final_nms_iou=1.0)
+        cfg = base_config(tiny_forest, rescorer=jumble)
         out, _ = run_cascade(images, cfg)
 
         proposals = [detect(img, tiny_forest, TINY_SLIDING) for _, img in images]
         _, filtered = filter_proposals(proposals, cfg.proposal_filter_avg)
+        given.reverse()
         for (fid, _), dets in zip(images, filtered):
-            assert Counter(d.box for d in out[fid]) == Counter(d.box for d in dets)
+            scores = given.pop().tolist() if dets else []
+            rescored = [Detection(d.box, s) for d, s in zip(dets, scores)]
+            assert out[fid] == nms_detections(rescored, NMS_IOU)
+        assert not given and any(out.values())
 
     def test_rescorer_window_shapes(self, tiny_world, tiny_forest):
         images, _ = tiny_world
@@ -221,22 +219,22 @@ class TestProposeRescore:
                                        cfg.proposal_filter_avg)
         dets = [detect(img, tiny_forest, TINY_SLIDING) for _, img in images]
         assert (threshold, proposals) == filter_proposals(dets, cfg.proposal_filter_avg)
-        got = rescore(images, proposals, rescorer, cfg.geometry, cfg.final_nms_iou)
+        got = rescore(images, proposals, rescorer, cfg.geometry)
         assert detections_to_json(got) == detections_to_json(out)
 
     def test_rescore_rejects_misaligned_proposals(self, tiny_world, tiny_forest):
         images, _ = tiny_world
         _, proposals = propose(images, tiny_forest, TINY_SLIDING, 3.0)
         with pytest.raises(CascadeError, match="proposal lists"):
-            rescore(images, proposals[:-1], identity, TINY_GEOM, 0.5)
+            rescore(images, proposals[:-1], identity, TINY_GEOM)
         with pytest.raises(CascadeError, match="proposal lists"):
-            rescore(images[:-1], proposals, identity, TINY_GEOM, 0.5)
+            rescore(images[:-1], proposals, identity, TINY_GEOM)
 
     def test_rescore_rejects_duplicate_frame_ids(self, tiny_world, tiny_forest):
         images, _ = tiny_world
         _, proposals = propose(images[:1], tiny_forest, TINY_SLIDING, 3.0)
         with pytest.raises(CascadeError, match="duplicate"):
-            rescore(images[:1] * 2, proposals * 2, identity, TINY_GEOM, 0.5)
+            rescore(images[:1] * 2, proposals * 2, identity, TINY_GEOM)
 
     def test_rescore_without_rescorer_extracts_no_window(self, tiny_world, tiny_forest,
                                                          monkeypatch):
@@ -247,9 +245,9 @@ class TestProposeRescore:
             raise AssertionError("window extracted without a rescorer")
 
         monkeypatch.setattr(cascade_module, "extract_window", exploding)
-        out = rescore(images, proposals, None, TINY_GEOM, 1.0)
+        out = rescore(images, proposals, None, TINY_GEOM)
         assert [out[fid] for fid, _ in images] == [
-            nms_detections(p, 1.0) for p in proposals]
+            nms_detections(p, NMS_IOU) for p in proposals]
         assert any(out.values())
 
     def test_propose_failure_names_frame(self, tiny_world, tiny_forest, monkeypatch):
@@ -396,8 +394,10 @@ def eager_forest_pool(images, frames, cfg, rng):
     for (_, img), ann in zip(images, frames):
         pos.extend(compute_channels(extract_window(img, b, cfg.geometry), cfg.channel_cfg)
                    for b in ann.gt_boxes)
-        keep = _random_negatives(cfg.forest_negatives_per_frame, img, ann, cfg.geometry,
-                                 cfg, rng)
+        cand = random_boxes(cfg.forest_negatives_per_frame, (img.height, img.width), rng,
+                            cfg.geometry, min_height=int(cfg.sliding.min_height))
+        best = iou_matrix(cand, ann.gt_boxes).max(axis=1, initial=0.0)
+        keep = [b for b, o in zip(cand, best) if o < cfg.policy.neg_iou]
         keep += jittered_negatives(ann.gt_boxes, 3, (img.height, img.width), rng,
                                    cfg.policy.neg_iou)
         neg.extend(compute_channels(extract_window(img, b, cfg.geometry), cfg.channel_cfg)

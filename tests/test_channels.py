@@ -32,10 +32,6 @@ class TestChannelConfig:
         with pytest.raises(ValueError):
             ChannelConfig("YUV")
 
-    def test_orientation_bins_change_count(self):
-        assert ChannelConfig("HOG_LUV", orientation_bins=8).n_channels == 12
-        assert ChannelConfig("HOG_L", orientation_bins=4).n_channels == 5
-
 
 class TestIntegralImage:
     def test_zero_border(self):

@@ -248,7 +248,7 @@ class TestDetect:
 
 
 def _malform(d, case):
-    """The forest JSON `d` broken in one of seven ways."""
+    """The forest JSON `d` broken in one of eight ways."""
     if case == "missing_trees":
         del d["trees"]
     elif case == "unsupported_version":
@@ -264,6 +264,8 @@ def _malform(d, case):
         d["trees"][0]["left"]["rect"] = [w - 4, h - 4, 8, 8]
     elif case == "pre_blur":
         d["channel_cfg"]["pre_blur"] = True
+    elif case == "orientation_bins":
+        d["channel_cfg"]["orientation_bins"] = 8
     return d
 
 
@@ -283,7 +285,8 @@ class TestMalformedForest:
 
     @pytest.mark.parametrize("case", ["missing_trees", "unsupported_version",
                                       "empty_tree_list", "tree_weight_missing",
-                                      "three_leaves", "rect_outside_window", "pre_blur"])
+                                      "three_leaves", "rect_outside_window", "pre_blur",
+                                      "orientation_bins"])
     def test_detect_exits_2(self, tmp_path, images_dir, tiny_forest, capsys, case):
         model_path = tmp_path / "forest.json"
         model_path.write_text(json.dumps(_malform(forest_to_json(tiny_forest), case)))
@@ -301,7 +304,7 @@ class TestMalformedForest:
         args = ["--model", model_path]
         if command == "bench":
             args += ["--images", images_dir]
-        for case in ("rect_outside_window", "pre_blur"):
+        for case in ("rect_outside_window", "pre_blur", "orientation_bins"):
             model_path.write_text(json.dumps(_malform(forest_to_json(tiny_forest), case)))
             assert run(["--out-dir", tmp_path, command] + args) == 2 == EXIT_DATA
             assert str(model_path) in capsys.readouterr().err
@@ -462,6 +465,36 @@ class TestTrainRescorer:
         x = np.stack(windows)
         assert np.array_equal(loaded(x, None), head(x, None))
 
+    def test_train_net_sizes_net_and_windows_from_input_hw(self, tmp_path, rescorer_data,
+                                                           tiny_forest, capsys):
+        """`net.input_hw` sets the net's input and the pool's windows (the
+        extent at 3/4 of them), and `detect --net` runs the net it writes."""
+        args, images, frames, proposals = rescorer_data
+        cfg_path = tmp_path / "net.json"
+        cfg_path.write_text(json.dumps({"version": 1, "net": {**SMALL_NET, "input_hw": [32, 16]},
+                                        "epochs": 1, "extra_epochs": 0, "batch": 12}))
+        cli_net = tmp_path / "cli_net.bin"
+        assert run(["--out-dir", tmp_path, "train-net", *args, "--net-out", cli_net,
+                    "--config", cfg_path]) == EXIT_OK
+        assert load_rescorer(cli_net).model.spec.input_shape == (3, 32, 16)
+
+        cfg = CascadeTrainConfig(
+            net_geometry=WindowGeometry((32, 16), (24, 12)),
+            net_spec=default_cifarnet(input_hw=(32, 16), **SMALL_NET),
+            net_train=TrainConfig(batch=12, epochs=1, extra_epochs=0))
+        lib_net = tmp_path / "lib_net.bin"
+        save_rescorer(train_rescorer(images, frames, proposals, cfg), lib_net)
+        assert cli_net.read_bytes() == lib_net.read_bytes()
+
+        model_path = tmp_path / "forest.json"
+        save_forest(tiny_forest, model_path)
+        capsys.readouterr()
+        assert run(["--out-dir", tmp_path, "detect", "--images", tmp_path / "images",
+                    "--model", model_path, "--net", cli_net, "--dets-out", tmp_path / "d.json",
+                    "--threshold=-1e9"]) == EXIT_OK
+        windows = int(capsys.readouterr().out.split("ms/window (")[1].split()[0])
+        assert windows > 0
+
     def test_train_svm_writes_the_library_head(self, tmp_path, rescorer_data, capsys):
         self.check_svm_head(tmp_path, rescorer_data, NetRescorer(small_net(), input_mean=0.3),
                             CascadeTrainConfig())
@@ -503,8 +536,9 @@ class TestTrainRescorer:
         {"net": {"fc_units": 0}},
         {"net": {"conv_kernels": [0, 3, 3]}},
         {"batch": "12"},
+        {"net": {"n_classes": 3}},
     ], ids=["negative_lr", "two_conv_filters", "negative_epochs", "zero_fc_units",
-            "zero_kernel", "string_batch"])
+            "zero_kernel", "string_batch", "three_classes"])
     def test_bad_config_exits_2(self, tmp_path, rescorer_data, capsys, config):
         args, _, _, _ = rescorer_data
         cfg_path = tmp_path / "net.json"
@@ -682,4 +716,71 @@ def test_non_object_config_is_a_data_error(tmp_path, capsys, command, config):
     assert run(["--out-dir", out, command, "--config", cfg_path] + args) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(cfg_path) in err and "JSON object" in err
+    assert not out.exists()
+
+
+def _malformed(case, ann, dets):
+    """The annotation or detections JSON (`ann`, `dets`) broken in one way."""
+    if case == "no_frames":
+        return {"version": 1}
+    if case == "string_score":
+        dets["frames"][0]["detections"][0]["score"] = "0.9"
+        return dets
+    if case == "zero_width_box":
+        dets["frames"][0]["detections"][0]["box"]["w"] = 0
+        return dets
+    if case == "negative_width_gt":
+        ann["frames"][0]["gt"][0]["w"] = -1
+        return ann
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("command, flag, case", [
+    ("evaluate", "--dets", "no_frames"),
+    ("evaluate", "--dets", "string_score"),
+    ("evaluate", "--dets", "zero_width_box"),
+    ("evaluate", "--ann", "negative_width_gt"),
+    ("train-forest", "--annotations", "no_frames"),
+    ("train-net", "--proposals", "string_score"),
+    ("train-svm", "--annotations", "negative_width_gt"),
+    ("detect", "--images", "truncated_ppm"),
+])
+def test_malformed_input_file_is_a_data_error(tmp_path, detect_inputs, tiny_world, capsys,
+                                              command, flag, case):
+    """An image, annotation or detections file the readers reject is a data
+    error naming the file (exit 2), and nothing is written."""
+    images_dir, model_path, images = detect_inputs
+    frames = tiny_world[1][:3]
+    ann = annotations_to_json(frames)
+    dets = detections_to_json({f.frame_id: [Detection(b, 0.9) for b in f.gt_boxes]
+                               for f in frames})
+    paths = {"--ann": tmp_path / "ann.json", "--dets": tmp_path / "dets.json"}
+    paths["--annotations"], paths["--proposals"] = paths["--ann"], paths["--dets"]
+    paths["--ann"].write_text(json.dumps(ann))
+    paths["--dets"].write_text(json.dumps(dets))
+    if case == "truncated_ppm":
+        bad = tmp_path / "bad.ppm"
+        write_pnm(bad, images[0][1])
+        bad.write_bytes(bad.read_bytes()[:-10])
+    else:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_malformed(case, ann, dets)))
+    net_path = tmp_path / "net.bin"
+    save_rescorer(NetRescorer(small_net(), input_mean=0.2), net_path)
+    out = tmp_path / "out"
+    rescorer_inputs = ["--images", images_dir, "--annotations", paths["--ann"],
+                       "--proposals", paths["--dets"]]
+    args = {
+        "evaluate": ["lamr", "--dets", paths["--dets"], "--ann", paths["--ann"]],
+        "train-forest": ["--images", images_dir, "--annotations", paths["--ann"],
+                         "--model-out", out / "forest.json"],
+        "train-net": rescorer_inputs + ["--net-out", out / "net.bin"],
+        "train-svm": rescorer_inputs + ["--net", net_path, "--svm-out", out / "svm.bin"],
+        "detect": ["--images", images_dir, "--model", model_path, "--dets-out", out / "d.json"],
+    }[command]
+    args[args.index(flag) + 1] = bad
+    capsys.readouterr()
+    assert run(["--out-dir", out, command] + args) == 2 == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(bad) in err
     assert not out.exists()

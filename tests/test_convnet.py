@@ -11,6 +11,7 @@ from pedcascade.convnet import (
     ConvSpec,
     FCLayer,
     FCSpec,
+    LR_DROP,
     NetModel,
     NetSpec,
     PoolLayer,
@@ -536,7 +537,7 @@ class TestLossAndTraining:
         assert len(log) == 12
         assert log[-1]["mean_loss"] < log[0]["mean_loss"]
         # learning-rate drop kicks in for the extra epochs
-        assert log[-1]["lr"] == pytest.approx(cfg.lr * cfg.lr_drop)
+        assert log[-1]["lr"] == pytest.approx(cfg.lr * LR_DROP)
         assert log[0]["lr"] == cfg.lr
 
     def test_divergence_detected(self):

@@ -266,7 +266,6 @@ class TestBatchSampler:
             _, y = s.next_batch()
             assert int(np.sum(y == 1)) == 10
             assert int(np.sum(y == 0)) == 50
-        assert s.batch_history == [(10, 50)] * 50
 
     def test_ratio_requires_divisible_batch(self):
         wins, labels = self.pool(5, 5)

@@ -13,8 +13,8 @@ class TestSpec:
             SynthSpec(height_range=(100.0, 50.0))
 
     def test_fixed_ped_count(self):
-        assert SynthSpec(peds_per_frame=3).ped_count_range == (3, 3)
-        assert SynthSpec(peds_per_frame=(1, 4)).ped_count_range == (1, 4)
+        _, frames = synth_dataset(SynthSpec(n_frames=4, peds_per_frame=(3, 3)), seed=0)
+        assert [len(f.gt_boxes) for f in frames] == [3] * 4
 
 
 class TestDataset:
