@@ -238,6 +238,23 @@ class CascadeTrainConfig:
         _check_proposal_budget(self.proposal_filter_avg)
 
 
+def _labelled_boxes(images, frames, proposals, policy: LabelingPolicy, negative_candidates):
+    """Per frame (image, positives, negatives) by label_proposals: the
+    proposals it labels positive, then the GT boxes; those of
+    negative_candidates(image, annotation, proposal boxes) it labels
+    negative.  Inputs that do not pair by position are a CascadeError."""
+    _check_pairing(images, frames, proposals)
+    out = []
+    for (_, img), ann, props in zip(images, frames, proposals):
+        boxes = [d.box for d in props]
+        labs = label_proposals(boxes, ann.gt_boxes, policy)
+        pos = [b for b, l in zip(boxes, labs) if l == LABEL_POS] + list(ann.gt_boxes)
+        cand = negative_candidates(img, ann, boxes)
+        labs = label_proposals(cand, ann.gt_boxes, policy)
+        out.append((img, pos, [b for b, l in zip(cand, labs) if l == LABEL_NEG]))
+    return out
+
+
 class _WindowStacks:
     """Channel stacks of the windows at (image, boxes) pairs, integrals at
     `pitch`, built one at a time as they are iterated; only the consumer
@@ -258,88 +275,64 @@ class _WindowStacks:
                                        self.cfg.channel_cfg, self.pitch)
 
 
-def forest_training_pool(
-    images: Sequence[Tuple[str, Image]],
-    frames: Sequence[FrameAnnotation],
-    cfg: CascadeTrainConfig,
-    rng: np.random.Generator,
-) -> Tuple[_WindowStacks, _WindowStacks]:
-    """Channel stacks of the forest's positive and negative windows, as lazy
-    iterables with a length: the boxes are drawn here, each stack is built
-    when iterated, its integrals at the pitch of the default candidate
-    rectangles that train_proposal_forest fits over.
-
-    Positives are the GT boxes.  Negatives are, per frame, those of
-    cfg.forest_negatives_per_frame random boxes that label_proposals labels
-    negative, plus three jittered copies of each GT box.  Frames pair with
-    images by position (else a CascadeError).
-    """
-    _check_pairing(images, frames)
-    pos, neg = [], []
-    for (_, img), ann in zip(images, frames):
-        pos.append((img, ann.gt_boxes))
-        cand = random_boxes(cfg.forest_negatives_per_frame, (img.height, img.width), rng,
-                            cfg.geometry, min_height=int(cfg.sliding.min_height))
-        labs = label_proposals(cand, ann.gt_boxes, cfg.policy)
-        keep = [b for b, l in zip(cand, labs) if l == LABEL_NEG] + jittered_negatives(
-            ann.gt_boxes, 3, (img.height, img.width), rng, cfg.policy.neg_iou
-        )
-        neg.append((img, keep))
-    pitch = region_pitch(default_candidate_rects(cfg.channel_cfg, cfg.geometry.window))
-    return _WindowStacks(pos, cfg, pitch), _WindowStacks(neg, cfg, pitch)
-
-
 def train_proposal_forest(
     images: Sequence[Tuple[str, Image]],
     frames: Sequence[FrameAnnotation],
     cfg: CascadeTrainConfig,
 ) -> ForestModel:
     """The proposal forest: cfg.n_trees boosting rounds over the default
-    candidate rectangles, on the forest training pool drawn with a generator
-    seeded by cfg.seed.  A pool with an empty class is a CascadeError."""
-    pos, neg = forest_training_pool(images, frames, cfg, np.random.default_rng(cfg.seed))
+    candidate rectangles, on a pool drawn with a generator seeded by
+    cfg.seed.  Its negative candidates are cfg.forest_negatives_per_frame
+    random boxes and three jittered copies of each GT box per frame; each
+    window's channel stack is built when train_forest reads it, integrals at
+    the rectangles' pitch.  A pool with an empty class is a CascadeError."""
+    rng = np.random.default_rng(cfg.seed)
+
+    def candidates(img, ann, _):
+        hw = (img.height, img.width)
+        return (random_boxes(cfg.forest_negatives_per_frame, hw, rng, cfg.geometry,
+                             min_height=int(cfg.sliding.min_height))
+                + jittered_negatives(ann.gt_boxes, 3, hw, rng, cfg.policy))
+
+    pool = _labelled_boxes(images, frames, [()] * len(images), cfg.policy, candidates)
+    rects = default_candidate_rects(cfg.channel_cfg, cfg.geometry.window)
+    pitch = region_pitch(rects)
+    pos = _WindowStacks([(img, p) for img, p, _ in pool], cfg, pitch)
+    neg = _WindowStacks([(img, n) for img, _, n in pool], cfg, pitch)
     if not pos or not neg:
         raise CascadeError("training frames yielded an empty class")
-    rects = default_candidate_rects(cfg.channel_cfg, cfg.geometry.window)
     return train_forest(pos, neg, cfg.n_trees, rects, cfg.channel_cfg, cfg.geometry.window)
 
 
 def rescorer_training_pool(images, frames, proposals, cfg: CascadeTrainConfig, rng):
-    """Labeled (image-layout window, 0/1) pool for the second stage, per the
-    policy.  Frames and proposals pair with images by position (else a
-    CascadeError); with neg_source "random", the negatives are those of
-    len(proposals) + 4 random candidates per frame that label_proposals
-    labels negative."""
-    _check_pairing(images, frames, proposals)
+    """The second stage's pool: an (n, H, W[, 3]) array of image-layout
+    windows and their (n,) 0/1 labels, frame by frame, positives first.  The
+    negative candidates are the proposals, or with neg_source "random"
+    len(proposals) + 4 random boxes per frame.  A single-class pool is a
+    CascadeError."""
     geom = cfg.net_geometry or cfg.geometry
-    windows, labels = [], []
-    for (fid, img), ann, props in zip(images, frames, proposals):
-        boxes = [d.box for d in props]
-        labs = label_proposals(boxes, ann.gt_boxes, cfg.policy)
-        pos = [b for b, l in zip(boxes, labs) if l == LABEL_POS] + list(ann.gt_boxes)
+
+    def candidates(img, ann, boxes):
         if cfg.policy.neg_source == "random":
-            boxes = random_boxes(len(boxes) + 4, (img.height, img.width), rng, geom,
-                                 min_height=int(cfg.sliding.min_height))
-            labs = label_proposals(boxes, ann.gt_boxes, cfg.policy)
-        neg = [b for b, l in zip(boxes, labs) if l == LABEL_NEG]
-        windows.extend(extract_window(img, b, geom) for b in pos + neg)
-        labels.extend([1] * len(pos) + [0] * len(neg))
-    if not any(labels) or all(labels):
+            return random_boxes(len(boxes) + 4, (img.height, img.width), rng, geom,
+                                min_height=int(cfg.sliding.min_height))
+        return boxes
+
+    pool = _labelled_boxes(images, frames, proposals, cfg.policy, candidates)
+    labels = np.array([lab for _, pos, neg in pool for lab in [1] * len(pos) + [0] * len(neg)])
+    if labels.all() or not labels.any():
         raise CascadeError("rescorer pool is single-class; adjust the policy")
-    return windows, labels
-
-
-def _centred(windows: Sequence[np.ndarray], input_mean: float) -> List[np.ndarray]:
-    return [_net_layout(w[None])[0] - input_mean for w in windows]
+    return np.stack([extract_window(img, b, geom) for img, pos, neg in pool
+                     for b in pos + neg]), labels
 
 
 def train_net_rescorer(windows, labels, cfg: CascadeTrainConfig) -> NetRescorer:
     """Fit cfg.net_spec (default: cifarnet sized to the windows) on a labeled
-    pool of image-layout windows, centred by the pool's mean."""
+    pool of image-layout window rows, centred by the pool's mean."""
     input_mean = float(np.mean([w.mean() for w in windows]))
-    net_windows = _centred(windows, input_mean)
-    in_ch, h, w = net_windows[0].shape
-    spec = cfg.net_spec or default_cifarnet(input_channels=in_ch, input_hw=(h, w))
+    net_windows = _net_layout(windows) - input_mean
+    spec = cfg.net_spec or default_cifarnet(input_channels=net_windows.shape[1],
+                                            input_hw=net_windows.shape[2:])
     model = NetModel(spec, seed=cfg.seed, init_sigma=cfg.net_train.init_sigma,
                      first_layer_sigma=cfg.net_train.first_layer_sigma)
     sampler = BatchSampler(net_windows, labels, cfg.net_train.batch, cfg.ratio, seed=cfg.seed)
@@ -350,7 +343,7 @@ def train_net_rescorer(windows, labels, cfg: CascadeTrainConfig) -> NetRescorer:
 def train_svm_head(rescorer: NetRescorer, windows, labels, cfg: SvmConfig) -> SvmRescorer:
     """Fit a linear SVM on the trained net's cfg.feature_layer features of a
     labeled pool; the head keeps the net and its input mean."""
-    phi = rescorer.model.features(np.stack(_centred(windows, rescorer.input_mean)),
+    phi = rescorer.model.features(_net_layout(windows) - rescorer.input_mean,
                                   cfg.feature_layer)
     y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
     w, b = train_svm(phi, y, cfg)

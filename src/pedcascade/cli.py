@@ -222,8 +222,8 @@ def _cmd_synth(args) -> int:
     images, frames = synth_dataset(spec, seed=args.seed)
     img_dir = out / "images"
     img_dir.mkdir(exist_ok=True)
-    for (fid, _), img in zip(((f.frame_id, None) for f in frames), images):
-        write_pnm(img_dir / f"{fid}.ppm", img)
+    for f, img in zip(frames, images):
+        write_pnm(img_dir / f"{f.frame_id}.ppm", img)
     (out / "annotations.json").write_text(
         json.dumps(annotations_to_json(frames), indent=1, sort_keys=True)
     )
@@ -255,6 +255,9 @@ def _cmd_train_forest(args) -> int:
     except CascadeError as exc:  # an empty class
         raise DataError(f"{args.annotations}: {exc}") from exc
     save_forest(model, args.model_out)
+    if len(model.trees) < n_trees:
+        print(f"warning: the forest stopped early, at {len(model.trees)} of {n_trees} trees; "
+              "the training set may be separable", file=sys.stderr)
     print(f"trained {len(model.trees)} trees (early_stop={model.early_stop}) -> {args.model_out}")
     return EXIT_OK
 

@@ -90,6 +90,9 @@ class NetSpec:
     layers: List[LayerSpec]
 
     def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                   for n in self.input_shape):
+            raise ValueError(f"NetSpec.input_shape must hold integers, got {self.input_shape!r}")
         self.shapes()  # validates consistency
 
     def shapes(self) -> List[Tuple[int, ...]]:

@@ -294,21 +294,23 @@ def random_boxes(
     return out
 
 
+JITTER_ATTEMPTS = 30  # draws per GT box before jittered_negatives gives up
+
+
 def jittered_negatives(
     gt: Sequence[Box],
     n_per_box: int,
     image_hw: Tuple[int, int],
     rng: np.random.Generator,
-    max_iou: float = 0.5,
-    attempts: int = 30,
+    policy: LabelingPolicy = LabelingPolicy(),
 ) -> List[Box]:
-    """Hard negatives: shifted/rescaled copies of GT boxes below max_iou
-    with every GT box, clipped to the image."""
+    """Hard negatives: shifted/rescaled copies of GT boxes, clipped to the
+    image, that label_proposals labels negative under `policy`."""
     h_img, w_img = image_hw
     out: List[Box] = []
     for g in gt:
         made = 0
-        for _ in range(attempts):
+        for _ in range(JITTER_ATTEMPTS):
             if made >= n_per_box:
                 break
             s = float(rng.uniform(0.7, 1.4))
@@ -320,7 +322,7 @@ def jittered_negatives(
             if bw <= 1 or bh <= 1 or bx + bw > w_img or by + bh > h_img:
                 continue
             cand = Box(bx, by, bw, bh)
-            if iou_matrix([cand], gt).max(initial=0.0) < max_iou:
+            if label_proposals([cand], gt, policy) == [LABEL_NEG]:
                 out.append(cand)
                 made += 1
     return out
@@ -361,20 +363,21 @@ class BatchSampler:
     With a ratio, every batch holds exactly batch * pos / (pos + neg)
     positives (the split must be integral); classes are drawn without
     replacement when the pool is large enough, with replacement otherwise.
-    With ratio None, batches are plain uniform draws from the pool.
+    With ratio None, batches are plain uniform draws from the pool.  A batch
+    is the (n, ...) window array (a sequence is stacked once) at the drawn rows.
     """
 
     def __init__(
         self,
-        windows: Sequence[np.ndarray],
+        windows: np.ndarray,
         labels: Sequence[int],
         batch: int,
         ratio: Optional[BatchRatio],
         seed: int = 0,
     ):
-        if len(windows) != len(labels) or not windows:
+        self.windows = np.asarray(windows)
+        if len(self.windows) != len(labels) or not len(self.windows):
             raise ValueError("windows and labels must align and be non-empty")
-        self.windows = list(windows)
         self.labels = np.asarray(labels, dtype=np.intp)
         self.batch = batch
         self.ratio = ratio
@@ -406,5 +409,4 @@ class BatchSampler:
                 [self._draw(self.pos_idx, self.n_pos), self._draw(self.neg_idx, self.n_neg)]
             )
             self.rng.shuffle(idx)
-        x = np.stack([self.windows[i] for i in idx])
-        return x, self.labels[idx]
+        return self.windows[idx], self.labels[idx]

@@ -111,9 +111,7 @@ def task_runner(task: dict) -> Callable[[Dict[str, object], int], float]:
         order = rng.permutation(len(windows))
         n_test = max(2, len(windows) // 5)
         test_i, train_i = order[:n_test], order[n_test:]
-        net = train_net_rescorer([windows[i] for i in train_i],
-                                 [labels[i] for i in train_i], cfg)
-        probs = net(np.stack([windows[i] for i in test_i]), None)
-        return float(np.mean((probs >= 0.5) != np.asarray(labels)[test_i]))
+        net = train_net_rescorer(windows[train_i], labels[train_i], cfg)
+        return float(np.mean((net(windows[test_i], None) >= 0.5) != labels[test_i]))
 
     return run

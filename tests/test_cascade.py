@@ -31,11 +31,11 @@ from pedcascade.convnet import (
     NetModel, NetSpec, ConvSpec, PoolSpec, ReLUSpec, FCSpec, SoftmaxSpec, TrainConfig,
     read_net, save_net,
 )
-from pedcascade.data import (BatchRatio, BatchSampler, detections_to_json, extract_window,
-                             jittered_negatives, random_boxes)
+from pedcascade.data import (BatchRatio, BatchSampler, LabelingPolicy, detections_to_json,
+                             extract_window, jittered_negatives, random_boxes)
 from pedcascade.forest import (detect, default_candidate_rects, filter_proposals,
                                forest_to_json, train_forest)
-from pedcascade.geometry import NMS_IOU, Detection, iou_matrix
+from pedcascade.geometry import NMS_IOU, Box, Detection, iou_matrix
 
 from test_geometry import nms_detections
 
@@ -389,7 +389,7 @@ class TestPairing:
 
 def eager_forest_pool(images, frames, cfg, rng):
     """Lists of every forest training window's channel stack, all built up
-    front: the oracle for the streamed forest_training_pool."""
+    front: the oracle for train_proposal_forest's streamed pool."""
     pos, neg = [], []
     for (_, img), ann in zip(images, frames):
         pos.extend(compute_channels(extract_window(img, b, cfg.geometry), cfg.channel_cfg)
@@ -398,8 +398,7 @@ def eager_forest_pool(images, frames, cfg, rng):
                             cfg.geometry, min_height=int(cfg.sliding.min_height))
         best = iou_matrix(cand, ann.gt_boxes).max(axis=1, initial=0.0)
         keep = [b for b, o in zip(cand, best) if o < cfg.policy.neg_iou]
-        keep += jittered_negatives(ann.gt_boxes, 3, (img.height, img.width), rng,
-                                   cfg.policy.neg_iou)
+        keep += jittered_negatives(ann.gt_boxes, 3, (img.height, img.width), rng, cfg.policy)
         neg.extend(compute_channels(extract_window(img, b, cfg.geometry), cfg.channel_cfg)
                    for b in keep)
     return pos, neg
@@ -448,6 +447,75 @@ class TestForestPoolStreaming:
         monkeypatch.setattr(cascade_module, "compute_channels", recording)
         train_proposal_forest(images, frames, cfg)
         assert list(pitches) == [8] and pitches[8] > len(frames)
+
+
+def eager_rescorer_pool(images, frames, proposals, cfg, rng):
+    """Every rescorer training box, its 0/1 label and its window, written out
+    frame by frame with the IoU rules spelt out: the oracle for
+    rescorer_training_pool."""
+    geom = cfg.net_geometry or cfg.geometry
+    policy = cfg.policy
+    boxes, labels, windows = [], [], []
+    for (_, img), ann, props in zip(images, frames, proposals):
+        cand = [d.box for d in props]
+        best = iou_matrix(cand, ann.gt_boxes).max(axis=1, initial=0.0)
+        pos = [b for b, o in zip(cand, best)
+               if policy.positive_source == "gt+proposals" and o > policy.pos_iou]
+        pos += ann.gt_boxes
+        if policy.neg_source == "random":
+            cand = random_boxes(len(cand) + 4, (img.height, img.width), rng, geom,
+                                min_height=int(cfg.sliding.min_height))
+            best = iou_matrix(cand, ann.gt_boxes).max(axis=1, initial=0.0)
+        neg = [b for b, o in zip(cand, best) if o < policy.neg_iou]
+        boxes += pos + neg
+        labels += [1] * len(pos) + [0] * len(neg)
+        windows += [extract_window(img, b, geom) for b in pos + neg]
+    return boxes, labels, windows
+
+
+def probe_proposals(ann):
+    """Per GT box a near copy, a half-shifted copy and a corner box: under
+    pos_iou 0.6 and neg_iou 0.3 they label positive, ignore and (mostly)
+    negative."""
+    out = []
+    for g in ann.gt_boxes:
+        out += [Detection(Box(g.x + 1.0, g.y, g.w, g.h), 0.9),
+                Detection(Box(g.x + g.w / 2, g.y, g.w, g.h), 0.5),
+                Detection(Box(0.0, 0.0, g.w, g.h), 0.1)]
+    return out
+
+
+class TestRescorerPool:
+    @pytest.mark.parametrize("neg_source", ["proposals", "random"])
+    def test_matches_the_eager_pool(self, tiny_world, monkeypatch, neg_source):
+        """Boxes in order, labels, windows and the generator's state after
+        the draw all equal the oracle's."""
+        images, frames = tiny_world
+        proposals = [probe_proposals(ann) for ann in frames]
+        cfg = CascadeTrainConfig(
+            sliding=TINY_SLIDING, geometry=TINY_GEOM,
+            policy=LabelingPolicy("gt+proposals", pos_iou=0.6, neg_iou=0.3,
+                                  neg_source=neg_source))
+        extracted = []
+
+        def recording(img, box, geom):
+            extracted.append(box)
+            return extract_window(img, box, geom)
+
+        monkeypatch.setattr(cascade_module, "extract_window", recording)
+        rng = np.random.default_rng(5)
+        windows, labels = rescorer_training_pool(images, frames, proposals, cfg, rng)
+        monkeypatch.undo()
+
+        oracle_rng = np.random.default_rng(5)
+        boxes, want_labels, want_windows = eager_rescorer_pool(images, frames, proposals,
+                                                               cfg, oracle_rng)
+        assert extracted == boxes
+        assert np.asarray(labels).tolist() == want_labels
+        assert np.array_equal(np.stack(windows), np.stack(want_windows))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert sum(want_labels) > len(frames)  # proposals were promoted
+        assert want_labels.count(0) >= len(frames)
 
 
 class TestRescorerFile:

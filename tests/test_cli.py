@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -8,17 +9,17 @@ from pedcascade.cascade import (
     CascadeTrainConfig,
     NetRescorer,
     SvmRescorer,
-    forest_training_pool,
     load_rescorer,
     rescorer_training_pool,
     run_cascade,
     save_rescorer,
+    train_proposal_forest,
     train_rescorer,
     train_svm_head,
 )
 from pedcascade.channels import ChannelConfig
 from pedcascade.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_dispatch
-from pedcascade.convnet import NetModel, TrainConfig, default_cifarnet
+from pedcascade.convnet import NET_MAGIC, NetModel, TrainConfig, default_cifarnet
 from pedcascade.data import (
     WindowGeometry,
     annotations_to_json,
@@ -28,11 +29,9 @@ from pedcascade.data import (
 )
 from pedcascade.forest import (
     SlidingWindowConfig,
-    default_candidate_rects,
     forest_to_json,
     load_forest,
     save_forest,
-    train_forest,
 )
 from pedcascade.geometry import Detection
 from pedcascade.imageops import read_pnm, write_pnm
@@ -93,14 +92,38 @@ class TestTrainForest:
         paths = sorted((tmp_path / "images").glob("*.ppm"))
         images = [(p.stem, read_pnm(p)) for p in paths]
         by_id = {f.frame_id: f for f in load_annotations(tmp_path / "annotations.json", "json")}
-        cfg = CascadeTrainConfig(channel_cfg=ChannelConfig("G_LUV"), forest_negatives_per_frame=4)
-        pos, neg = forest_training_pool(images, [by_id[fid] for fid, _ in images], cfg,
-                                        np.random.default_rng(9))
-        rects = default_candidate_rects(cfg.channel_cfg, cfg.geometry.window)
+        cfg = CascadeTrainConfig(n_trees=2, channel_cfg=ChannelConfig("G_LUV"),
+                                 forest_negatives_per_frame=4, seed=9)
         lib_model = tmp_path / "lib_forest.json"
-        save_forest(train_forest(pos, neg, 2, rects, cfg.channel_cfg, cfg.geometry.window),
+        save_forest(train_proposal_forest(images, [by_id[fid] for fid, _ in images], cfg),
                     lib_model)
         assert cli_model.read_bytes() == lib_model.read_bytes()
+
+    def test_early_stop_warns(self, tmp_path, capsys):
+        """A forest that stops before --trees is written, exit 0, with a
+        warning naming the trees fitted."""
+        assert run(["--out-dir", tmp_path, "synth", "--frames", "6"]) == EXIT_OK
+        model_path = tmp_path / "forest.json"
+        capsys.readouterr()
+        assert run(["--out-dir", tmp_path, "train-forest", "--images", tmp_path / "images",
+                    "--annotations", tmp_path / "annotations.json", "--model-out", model_path,
+                    "--trees", "16"]) == EXIT_OK
+        trees = len(load_forest(model_path).trees)
+        assert trees < 16
+        err = capsys.readouterr().err
+        assert err.startswith(f"warning: the forest stopped early, at {trees} of 16 trees")
+        assert "separable" in err
+
+    def test_full_forest_does_not_warn(self, tmp_path, capsys):
+        assert run(["--out-dir", tmp_path, "synth", "--frames", "10", "--noise", "0.3",
+                    "--height", "120", "--width", "160"]) == EXIT_OK
+        model_path = tmp_path / "forest.json"
+        capsys.readouterr()
+        assert run(["--out-dir", tmp_path, "train-forest", "--images", tmp_path / "images",
+                    "--annotations", tmp_path / "annotations.json", "--model-out", model_path,
+                    "--trees", "2"]) == EXIT_OK
+        assert len(load_forest(model_path).trees) == 2
+        assert capsys.readouterr().err == ""
 
     def test_frames_without_gt_exit_2(self, tmp_path, capsys):
         from pedcascade.data import FrameAnnotation
@@ -537,8 +560,9 @@ class TestTrainRescorer:
         {"net": {"conv_kernels": [0, 3, 3]}},
         {"batch": "12"},
         {"net": {"n_classes": 3}},
+        {"net": {"input_hw": [32.0, 16.0]}},
     ], ids=["negative_lr", "two_conv_filters", "negative_epochs", "zero_fc_units",
-            "zero_kernel", "string_batch", "three_classes"])
+            "zero_kernel", "string_batch", "three_classes", "float_input_hw"])
     def test_bad_config_exits_2(self, tmp_path, rescorer_data, capsys, config):
         args, _, _, _ = rescorer_data
         cfg_path = tmp_path / "net.json"
@@ -567,8 +591,18 @@ class TestTrainRescorer:
         assert not svm_path.exists()
 
 
+def _float_sizes(raw):
+    """The net file `raw` with its input sizes written as floats."""
+    off = len(NET_MAGIC) + struct.calcsize("<HI")
+    version, hlen = struct.unpack_from("<HI", raw, len(NET_MAGIC))
+    header = json.loads(raw[off:off + hlen])
+    header["spec"]["input_shape"] = [float(n) for n in header["spec"]["input_shape"]]
+    text = json.dumps(header, sort_keys=True).encode()
+    return NET_MAGIC + struct.pack("<HI", version, len(text)) + text + raw[off + hlen:]
+
+
 def _net_file(tmp_path, case, model_path):
-    """A net file the rescorer reader must reject, broken in one of four ways."""
+    """A net file the rescorer reader must reject, broken in one of five ways."""
     path = tmp_path / f"{case}.bin"
     if case == "forest_export":  # a 1-output FC net, not a 2-class softmax
         assert run(["--out-dir", tmp_path, "compile-forest", "--model", model_path,
@@ -576,6 +610,9 @@ def _net_file(tmp_path, case, model_path):
         return path
     save_rescorer(NetRescorer(small_net(), input_mean=0.2), path)
     raw = path.read_bytes()
+    if case == "float_sizes":
+        path.write_bytes(_float_sizes(raw))
+        return path
     path.write_bytes({"truncated": raw[:-8], "trailing_bytes": raw + bytes(8),
                       "wrong_magic": b"NOTNET" + raw[6:]}[case])
     return path
@@ -587,7 +624,7 @@ class TestMalformedNet:
 
     @pytest.mark.parametrize("command", ["detect", "bench", "train-svm"])
     @pytest.mark.parametrize("case", ["truncated", "trailing_bytes", "wrong_magic",
-                                      "forest_export"])
+                                      "forest_export", "float_sizes"])
     def test_exits_2(self, tmp_path, detect_inputs, tiny_world, capsys, command, case):
         images_dir, model_path, images = detect_inputs
         net_path = _net_file(tmp_path, case, model_path)

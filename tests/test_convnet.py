@@ -182,6 +182,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             NetSpec((3, 4, 4), [PoolSpec("max", size=5)])
 
+    @pytest.mark.parametrize("shape", [(3, 32.0, 16), (3, 32, 16.5), (True, 32, 16),
+                                       (3, "32", 16)])
+    def test_rejects_sizes_that_are_not_integers(self, shape):
+        with pytest.raises(ValueError, match="input_shape must hold integers"):
+            NetSpec(shape, [ConvSpec(4, 3)])
+
+    def test_accepts_numpy_integer_sizes(self):
+        assert NetSpec((3, np.int64(8), 6), [ConvSpec(4, 3)]).shapes() == [(4, 8, 6)]
+
     def test_rejects_conv_on_flat_input(self):
         with pytest.raises(ValueError):
             NetSpec((10,), [ConvSpec(4, 3)])
@@ -382,7 +391,7 @@ class TestGradients:
         assert held() == []
         model.features(batch[0], "fc1")
         assert held() == []
-        windows = list(batch[0].transpose(0, 2, 3, 1))  # image layout (H, W, C)
+        windows = batch[0].transpose(0, 2, 3, 1)  # image layout (H, W, C)
         head = train_svm_head(NetRescorer(model, 0.1), windows, batch[1], SvmConfig())
         assert head.model is model and held() == []
 
