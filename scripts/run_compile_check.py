@@ -13,7 +13,6 @@ import argparse
 import sys
 
 from pedcascade.cascade import CascadeTrainConfig, train_proposal_forest
-from pedcascade.channels import ChannelConfig
 from pedcascade.forest2nn import compile_forest, verify_equivalence
 from pedcascade.synth import SynthSpec, synth_dataset
 
@@ -28,8 +27,8 @@ def main():
     images, frames = synth_dataset(SynthSpec(n_frames=100, clutter=3.0, noise=0.2),
                                    seed=args.seed)
     pairs = [(f.frame_id, img) for f, img in zip(frames, images)]
-    cfg = CascadeTrainConfig(n_trees=args.trees, channel_cfg=ChannelConfig("G_LUV"),
-                             forest_negatives_per_frame=10, seed=args.seed)
+    cfg = CascadeTrainConfig(n_trees=args.trees, forest_negatives_per_frame=10,
+                             seed=args.seed)
     model = train_proposal_forest(pairs, frames, cfg)
     print(f"forest: {len(model.trees)} trees (early_stop={model.early_stop})")
     if len(model.trees) < args.trees:

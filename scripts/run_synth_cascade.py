@@ -69,7 +69,7 @@ def main():
 
     _, test_props = propose(test_pairs, cascade.proposal_model, cascade.sliding,
                             cascade.proposal_filter_avg)
-    windows = sum(map(len, test_props))
+    windows = sum(map(len, test_props.values()))
     stamp(f"test frames proposed ({windows} proposals)")
 
     def rescored(rescorer):

@@ -6,7 +6,6 @@ from .cascade import (
     CascadeConfig,
     CascadeTrainConfig,
     NetRescorer,
-    SvmRescorer,
     TimingReport,
     load_rescorer,
     propose,

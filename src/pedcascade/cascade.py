@@ -6,8 +6,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import zip_longest
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,18 +43,26 @@ class CascadeError(RuntimeError):
     pass
 
 
-def _check_pairing(images, frames=None, proposals=None) -> None:
-    """CascadeError unless `frames` and `proposals`, where given, pair with
-    `images` by position: the i-th annotation is of the i-th image's frame
-    id, and there is one proposal list per image."""
-    if frames is not None:
-        ids = zip_longest((fid for fid, _ in images), (f.frame_id for f in frames))
-        for i, (fid, ann_id) in enumerate(ids):
-            if fid != ann_id:
-                raise CascadeError(f"images and annotations do not pair at position {i}: "
-                                   f"image {fid!r}, annotation {ann_id!r}")
-    if proposals is not None and len(proposals) != len(images):
-        raise CascadeError(f"{len(proposals)} proposal lists for {len(images)} images")
+def _by_id(pairs) -> dict:
+    """{frame id: item} of (frame id, item) pairs, in their order; a
+    repeated id is a CascadeError naming it."""
+    out = {}
+    for fid, item in pairs:
+        if fid in out:
+            raise CascadeError(f"duplicate frame id {fid!r}")
+        out[fid] = item
+    return out
+
+
+def _per_frame(images, by_id: Mapping, what: str) -> list:
+    """by_id's entry of each image's frame id, in image order; entries of
+    other frames are ignored.  A repeated frame id, or one that by_id lacks,
+    is a CascadeError naming the frame."""
+    ids = _by_id(images)
+    for fid in ids:
+        if fid not in by_id:
+            raise CascadeError(f"frame {fid!r} has no {what}")
+    return [by_id[fid] for fid in ids]
 
 
 def _window_batch(img, boxes, geom: WindowGeometry) -> np.ndarray:
@@ -70,35 +77,27 @@ def _net_layout(windows: np.ndarray) -> np.ndarray:
 
 
 class NetRescorer:
-    """Positive-class softmax probability of a trained net.
+    """Positive-class softmax probability of a trained net; with a linear
+    head (`w` given), the SVM score w.phi(x) + b of the net's
+    `feature_layer` features phi(x) instead.
 
     `input_mean` is subtracted from every window before scoring; it must match
     the centering used when the net was trained.
     """
 
-    def __init__(self, model: NetModel, input_mean: float = 0.0):
+    def __init__(self, model: NetModel, input_mean: float = 0.0,
+                 w: Optional[np.ndarray] = None, b: float = 0.0, feature_layer: str = "fc1"):
         self.model = model
         self.input_mean = float(input_mean)
-
-    def __call__(self, windows: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        return self.model.scores(_net_layout(windows) - self.input_mean)
-
-
-class SvmRescorer:
-    """Linear SVM over intermediate net features (w.phi(x) + b)."""
-
-    def __init__(self, model: NetModel, w: np.ndarray, b: float,
-                 feature_layer: str = "fc1", input_mean: float = 0.0):
-        self.model = model
-        self.w = np.asarray(w, dtype=np.float64)
+        self.w = None if w is None else np.asarray(w, dtype=np.float64)
         self.b = float(b)
         self.feature_layer = feature_layer
-        self.input_mean = float(input_mean)
 
     def __call__(self, windows: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        phi = self.model.features(_net_layout(windows) - self.input_mean,
-                                  self.feature_layer)
-        return phi @ self.w + self.b
+        x = _net_layout(windows) - self.input_mean
+        if self.w is None:
+            return self.model.scores(x)
+        return self.model.features(x, self.feature_layer) @ self.w + self.b
 
 
 def _check_proposal_budget(avg: float) -> None:
@@ -148,38 +147,37 @@ class TimingReport:
 def propose(
     images: Sequence[Tuple[str, Image]], model: ForestModel, sliding: SlidingWindowConfig,
     target_avg: float,
-) -> Tuple[float, List[List[Detection]]]:
+) -> Tuple[float, Dict[str, List[Detection]]]:
     """Forest proposals of every frame, filtered globally to at most
-    target_avg per image: (score threshold, per-frame Detection lists in
-    image order), as filter_proposals returns them."""
+    target_avg per image: (score threshold, {frame id: Detection list} in
+    image order), as filter_proposals returns them.  A repeated frame id is
+    a CascadeError."""
+    ids = list(_by_id(images))
     proposals: List[List[Detection]] = []
     for fid, img in images:
         try:
             proposals.append(detect(img, model, sliding))
         except Exception as exc:
             raise CascadeError(f"frame {fid}: proposal stage failed: {exc}") from exc
-    return filter_proposals(proposals, target_avg)
+    threshold, kept = filter_proposals(proposals, target_avg)
+    return threshold, dict(zip(ids, kept))
 
 
 def rescore(
     images: Sequence[Tuple[str, Image]],
-    proposals: Sequence[Sequence[Detection]],
+    proposals: Mapping[str, Sequence[Detection]],
     rescorer: Optional[object],
     geometry: WindowGeometry,
 ) -> Dict[str, List[Detection]]:
-    """Each frame's proposals rescored on their `geometry` windows, then
-    final NMS at NMS_IOU.  Proposals pair with images by position (else a
-    CascadeError).  A None rescorer keeps the proposal scores and extracts
-    no window.
+    """Each frame's proposals, looked up by frame id, rescored on their
+    `geometry` windows, then final NMS at NMS_IOU.  A repeated frame id, or
+    one the proposals lack, is a CascadeError.  A None rescorer keeps the
+    proposal scores and extracts no window.
 
     Rescoring only rewrites scores; box geometry is untouched before NMS.
     """
-    ids = [fid for fid, _ in images]
-    if len(set(ids)) != len(ids):
-        raise CascadeError("duplicate frame ids")
-    _check_pairing(images, proposals=proposals)
     out: Dict[str, List[Detection]] = {}
-    for (fid, img), dets in zip(images, proposals):
+    for (fid, img), dets in zip(images, _per_frame(images, proposals, "proposals")):
         boxes = [d.box for d in dets]
         scores = np.array([d.score for d in dets])
         if dets and rescorer is not None:
@@ -205,7 +203,7 @@ def run_cascade(
     out = rescore(images, proposals, cfg.rescorer, cfg.geometry)
     t2 = time.perf_counter()
 
-    windows = sum(map(len, proposals)) if cfg.rescorer is not None else 0
+    windows = sum(map(len, proposals.values())) if cfg.rescorer is not None else 0
     n = len(images)
     report = TimingReport(
         ms_per_window=(t2 - t1) / windows * 1e3 if windows else 0.0,
@@ -222,7 +220,7 @@ def run_cascade(
 @dataclass
 class CascadeTrainConfig:
     n_trees: int = 64
-    channel_cfg: ChannelConfig = field(default_factory=lambda: ChannelConfig("G_LUV"))
+    channel_cfg: ChannelConfig = field(default_factory=ChannelConfig)
     sliding: SlidingWindowConfig = field(default_factory=SlidingWindowConfig)
     geometry: WindowGeometry = field(default_factory=WindowGeometry)
     policy: LabelingPolicy = field(default_factory=LabelingPolicy)
@@ -239,13 +237,16 @@ class CascadeTrainConfig:
 
 
 def _labelled_boxes(images, frames, proposals, policy: LabelingPolicy, negative_candidates):
-    """Per frame (image, positives, negatives) by label_proposals: the
-    proposals it labels positive, then the GT boxes; those of
-    negative_candidates(image, annotation, proposal boxes) it labels
-    negative.  Inputs that do not pair by position are a CascadeError."""
-    _check_pairing(images, frames, proposals)
+    """Per image, in order, (image, positives, negatives) by
+    label_proposals: the proposals it labels positive, then the GT boxes;
+    those of negative_candidates(image, annotation, proposal boxes) it
+    labels negative.  Annotations and proposals are looked up by frame id;
+    a repeated image or annotation id, or one they lack, is a CascadeError
+    before any frame is labelled."""
+    anns = _per_frame(images, _by_id((f.frame_id, f) for f in frames), "annotation")
+    per_image = _per_frame(images, proposals, "proposals")
     out = []
-    for (_, img), ann, props in zip(images, frames, proposals):
+    for (_, img), ann, props in zip(images, anns, per_image):
         boxes = [d.box for d in props]
         labs = label_proposals(boxes, ann.gt_boxes, policy)
         pos = [b for b, l in zip(boxes, labs) if l == LABEL_POS] + list(ann.gt_boxes)
@@ -294,7 +295,8 @@ def train_proposal_forest(
                              min_height=int(cfg.sliding.min_height))
                 + jittered_negatives(ann.gt_boxes, 3, hw, rng, cfg.policy))
 
-    pool = _labelled_boxes(images, frames, [()] * len(images), cfg.policy, candidates)
+    pool = _labelled_boxes(images, frames, {fid: () for fid, _ in images}, cfg.policy,
+                           candidates)
     rects = default_candidate_rects(cfg.channel_cfg, cfg.geometry.window)
     pitch = region_pitch(rects)
     pos = _WindowStacks([(img, p) for img, p, _ in pool], cfg, pitch)
@@ -340,20 +342,20 @@ def train_net_rescorer(windows, labels, cfg: CascadeTrainConfig) -> NetRescorer:
     return NetRescorer(model, input_mean=input_mean)
 
 
-def train_svm_head(rescorer: NetRescorer, windows, labels, cfg: SvmConfig) -> SvmRescorer:
+def train_svm_head(rescorer: NetRescorer, windows, labels, cfg: SvmConfig) -> NetRescorer:
     """Fit a linear SVM on the trained net's cfg.feature_layer features of a
-    labeled pool; the head keeps the net and its input mean."""
+    labeled pool: the net and its input mean with that linear head."""
     phi = rescorer.model.features(_net_layout(windows) - rescorer.input_mean,
                                   cfg.feature_layer)
     y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
     w, b = train_svm(phi, y, cfg)
-    return SvmRescorer(rescorer.model, w, b, cfg.feature_layer, rescorer.input_mean)
+    return NetRescorer(rescorer.model, rescorer.input_mean, w, b, cfg.feature_layer)
 
 
 def train_rescorer(
     images: Sequence[Tuple[str, Image]],
     frames: Sequence[FrameAnnotation],
-    proposals: Sequence[Sequence[Detection]],
+    proposals: Mapping[str, Sequence[Detection]],
     cfg: CascadeTrainConfig,
 ) -> NetRescorer:
     """The second-stage net: rescorer_training_pool on the proposals, drawn
@@ -364,30 +366,30 @@ def train_rescorer(
     return train_net_rescorer(windows, labels, cfg)
 
 
-def save_rescorer(rescorer, path) -> None:
-    """Write a NetRescorer or SvmRescorer as one net file: the weights, plus
-    the input mean and any SVM head in its JSON header."""
+def save_rescorer(rescorer: NetRescorer, path) -> None:
+    """Write a NetRescorer as one net file: the weights, plus the input mean
+    and any linear head in its JSON header."""
     header = {"input_mean": rescorer.input_mean}
-    if isinstance(rescorer, SvmRescorer):
+    if rescorer.w is not None:
         header.update(feature_layer=rescorer.feature_layer, w=rescorer.w.tolist(),
                       b=rescorer.b)
     save_net(rescorer.model, path, header)
 
 
-def load_rescorer(path):
-    """The NetRescorer or SvmRescorer in a net file; a header without an
-    input mean loads as mean 0.0."""
+def load_rescorer(path) -> NetRescorer:
+    """The NetRescorer in a net file, with its linear head if it has one; a
+    header without an input mean loads as mean 0.0."""
     model, header = read_net(path)
     if model.spec.layers[-1:] != [SoftmaxSpec()] or model.spec.shapes()[-1] != (2,):
         raise ValueError(f"{path}: a rescorer net must end in a 2-class softmax")
-    mean = float(header.get("input_mean", 0.0))
+    mean = header.get("input_mean", 0.0)
     if "w" not in header:
-        return NetRescorer(model, input_mean=mean)
+        return NetRescorer(model, mean)
     layer = header["feature_layer"]
     shape = model.spec.shapes()[model.layer_names.index(layer)]
     if len(header["w"]) != int(np.prod(shape)):
         raise ValueError(f"{path}: SVM head does not fit the {layer} features {shape}")
-    return SvmRescorer(model, header["w"], header["b"], layer, input_mean=mean)
+    return NetRescorer(model, mean, header["w"], header["b"], layer)
 
 
 def train_cascade(
@@ -397,8 +399,9 @@ def train_cascade(
 ) -> CascadeConfig:
     """The three training stages in turn: train_proposal_forest, propose
     over the training frames, train_rescorer on those proposals; assembled
-    into the cascade.  Images and frames that do not pair are a
-    CascadeError before anything is fitted.  A proposals-only cascade is
+    into the cascade.  Annotations are looked up by frame id; a repeated
+    image or annotation id, or an image id they lack, is a CascadeError
+    before anything is fitted.  A proposals-only cascade is
     CascadeConfig(train_proposal_forest(...), None, ...)."""
     forest = train_proposal_forest(images, frames, cfg)
     _, proposals = propose(images, forest, cfg.sliding, cfg.proposal_filter_avg)

@@ -11,9 +11,9 @@ import numpy as np
 from .geometry import Box
 from .imageops import Image, centered_gradients
 
-CHANNEL_COUNTS = {"RGB": 3, "LUV": 3, "G_LUV": 4, "HOG_L": 7, "HOG_LUV": 10}
+CHANNEL_COUNTS = {"RGB": 3, "G_LUV": 4, "HOG_LUV": 10}
 
-# Hard-binned orientation channels of the HOG kinds.
+# Hard-binned orientation channels of HOG_LUV.
 ORIENTATION_BINS = 6
 
 # Fixed affine ranges used to rescale CIE L*u*v* into [0,1].
@@ -28,13 +28,11 @@ class ChannelConfig:
 
     kind -> channel layout:
       RGB:     [R, G, B]
-      LUV:     [L, U, V]
       G_LUV:   [G, L, U, V]                  (G = luminance gradient magnitude)
-      HOG_L:   [O_0..O_5, L]                 (6 hard-binned orientation channels)
-      HOG_LUV: [G, O_0..O_5, L, U, V]
+      HOG_LUV: [G, O_0..O_5, L, U, V]        (6 hard-binned orientation channels)
     """
 
-    kind: str = "HOG_LUV"
+    kind: str = "G_LUV"
 
     def __post_init__(self):
         if self.kind not in CHANNEL_COUNTS:
@@ -200,14 +198,9 @@ def compute_channels(img: Union[Image, np.ndarray], cfg: ChannelConfig,
     else:
         luv = rgb_to_luv(arr)
         l, u, v = luv[..., 0], luv[..., 1], luv[..., 2]
-        if cfg.kind == "LUV":
-            planes = [l, u, v]
-        elif cfg.kind == "G_LUV":
+        if cfg.kind == "G_LUV":
             mag, _ = gradient_channels(l, 0)
             planes = [mag, l, u, v]
-        elif cfg.kind == "HOG_L":
-            _, oriented = gradient_channels(l, ORIENTATION_BINS)
-            planes = oriented + [l]
         elif cfg.kind == "HOG_LUV":
             mag, oriented = gradient_channels(l, ORIENTATION_BINS)
             planes = [mag] + oriented + [l, u, v]

@@ -177,22 +177,13 @@ def _cascade_config(args, threshold: float = 0.0, proposals_avg: float = 3.0) ->
     )
 
 
-def _aligned_frames(images, frames):
-    """The annotations of `images`, in their order, matched by frame id."""
-    by_id = {f.frame_id: f for f in frames}
-    for fid, _ in images:
-        if fid not in by_id:
-            raise DataError(f"no annotation for frame {fid}")
-    return [by_id[fid] for fid, _ in images]
-
-
 def _rescorer_inputs(args):
-    """Images, their annotations and their proposals, aligned by frame id."""
+    """Images, the annotations and each image's proposals by frame id; an
+    image that the proposals file does not list has no proposals."""
     images = _load_images(args.images)
-    frames = _aligned_frames(
-        images, _load(load_annotations, args.annotations, "annotation", args.format))
+    frames = _load(load_annotations, args.annotations, "annotation", args.format)
     by_id = _load(_read_detections, args.proposals, "detections")
-    return images, frames, [by_id.get(fid, []) for fid, _ in images]
+    return images, frames, {fid: by_id.get(fid, []) for fid, _ in images}
 
 
 def _write_manifest(args, command: str, config: dict, seeds: dict, inputs: Sequence) -> RunManifest:
@@ -233,7 +224,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train_forest(args) -> int:
     cfgfile = _load_config_file(args.config)
-    channel_kind = args.channels or cfgfile.get("channels", "G_LUV")
+    channel_kind = args.channels or cfgfile.get("channels", ChannelConfig().kind)
     n_trees = args.trees if args.trees is not None else cfgfile.get("trees", 64)
     try:  # the flags are checked by the parser, so a bad value is the file's
         channel_cfg = ChannelConfig(channel_kind)
@@ -251,8 +242,8 @@ def _cmd_train_forest(args) -> int:
     cfg = CascadeTrainConfig(n_trees=n_trees, channel_cfg=channel_cfg,
                              forest_negatives_per_frame=args.negatives_per_frame, seed=args.seed)
     try:
-        model = train_proposal_forest(images, _aligned_frames(images, frames), cfg)
-    except CascadeError as exc:  # an empty class
+        model = train_proposal_forest(images, frames, cfg)
+    except CascadeError as exc:  # an image without annotation, or an empty class
         raise DataError(f"{args.annotations}: {exc}") from exc
     save_forest(model, args.model_out)
     if len(model.trees) < n_trees:
@@ -302,7 +293,7 @@ def _cmd_train_net(args) -> int:
                     {"seed": args.seed}, [args.annotations, args.proposals])
     try:
         rescorer = train_rescorer(images, frames, proposals, cfg)
-    except CascadeError as exc:  # a single-class pool
+    except CascadeError as exc:  # an image without annotation, or a single-class pool
         raise DataError(str(exc)) from exc
     save_rescorer(rescorer, args.net_out)
     print(f"trained net ({rescorer.model.n_parameters} parameters) -> {args.net_out}")
@@ -325,7 +316,7 @@ def _cmd_train_svm(args) -> int:
     try:
         windows, labels = rescorer_training_pool(images, frames, proposals, cfg,
                                                  np.random.default_rng(cfg.seed))
-    except CascadeError as exc:  # a single-class pool
+    except CascadeError as exc:  # an image without annotation, or a single-class pool
         raise DataError(str(exc)) from exc
     head = train_svm_head(net, windows, labels, svm)
     save_rescorer(head, args.svm_out)

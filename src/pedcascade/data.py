@@ -215,6 +215,8 @@ def detections_from_json(d: dict) -> Dict[str, List[Detection]]:
         raise DataError(f"unsupported detections version {d.get('version')!r}")
     out = {}
     for fd in d["frames"]:
+        if fd["frame_id"] in out:
+            raise DataError(f"repeated frame id {fd['frame_id']!r}")
         out[fd["frame_id"]] = [
             Detection(Box(e["box"]["x"], e["box"]["y"], e["box"]["w"], e["box"]["h"]),
                       e["score"])

@@ -107,7 +107,8 @@ def task_runner(task: dict) -> Callable[[Dict[str, object], int], float]:
         )
         rng = np.random.default_rng(seed)
         pairs = [(f.frame_id, img) for f, img in zip(frames, images)]
-        windows, labels = rescorer_training_pool(pairs, frames, [[]] * len(pairs), cfg, rng)
+        windows, labels = rescorer_training_pool(pairs, frames, {fid: [] for fid, _ in pairs},
+                                                 cfg, rng)
         order = rng.permutation(len(windows))
         n_test = max(2, len(windows) // 5)
         test_i, train_i = order[:n_test], order[n_test:]

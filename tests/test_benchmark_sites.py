@@ -9,6 +9,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from conftest import TINY_GEOM
+from pedcascade.cascade import NetRescorer, rescore
+from pedcascade.convnet import ConvSpec, FCSpec, NetModel, NetSpec, PoolSpec, ReLUSpec, SoftmaxSpec
+from pedcascade.geometry import Detection
+
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
 
@@ -39,3 +46,20 @@ def test_every_patched_site_resolves_and_is_restored(monkeypatch):
 
     assert [owner.__dict__[attr] for owner, attr in sites] == originals
     assert sorted(BENCHMARK.rglob("*")) == files
+
+
+def test_svm_head_rescoring_is_timed(monkeypatch, tiny_world):
+    """An SVM head is a NetRescorer with a linear head, so the
+    `cascade.rescore` span times it and counts its windows."""
+    spans = load_spans(monkeypatch)
+    images, frames = tiny_world
+    spec = NetSpec((3, 32, 16), [ConvSpec(2, 3), PoolSpec("max"), ReLUSpec(),
+                                 FCSpec(4), ReLUSpec(), FCSpec(2), SoftmaxSpec()])
+    head = NetRescorer(NetModel(spec, seed=0), 0.2, np.ones(4), 0.5, "fc1")
+    proposals = {ann.frame_id: [Detection(b, 1.0) for b in ann.gt_boxes] for ann in frames}
+
+    with spans.Tracer().installed() as tracer:
+        rescore(images, proposals, head, TINY_GEOM)
+
+    assert [name for name, *_ in tracer.spans].count("cascade.rescore") == len(images)
+    assert tracer.counts["cascade.windows_rescored"] == sum(map(len, proposals.values()))

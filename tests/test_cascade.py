@@ -14,7 +14,6 @@ from pedcascade.cascade import (
     CascadeError,
     CascadeTrainConfig,
     NetRescorer,
-    SvmRescorer,
     TimingReport,
     load_rescorer,
     propose,
@@ -95,11 +94,11 @@ class TestSvmRescorer:
         scores = np.zeros(len(windows))
 
         mean = 0.4
-        got = SvmRescorer(model, w, b, "fc1", input_mean=mean)(windows, scores)
+        got = NetRescorer(model, mean, w, b, "fc1")(windows, scores)
         phi = model.features(windows.transpose(0, 3, 1, 2) - mean, "fc1")
         assert np.array_equal(got, phi @ w + b)
 
-        uncentred = SvmRescorer(model, w, b, "fc1")(windows, scores)
+        uncentred = NetRescorer(model, 0.0, w, b, "fc1")(windows, scores)
         assert not np.allclose(got, uncentred)
 
 
@@ -218,23 +217,31 @@ class TestProposeRescore:
         threshold, proposals = propose(images, tiny_forest, cfg.sliding,
                                        cfg.proposal_filter_avg)
         dets = [detect(img, tiny_forest, TINY_SLIDING) for _, img in images]
-        assert (threshold, proposals) == filter_proposals(dets, cfg.proposal_filter_avg)
+        want_threshold, kept = filter_proposals(dets, cfg.proposal_filter_avg)
+        assert threshold == want_threshold
+        assert list(proposals.items()) == [(fid, k) for (fid, _), k in zip(images, kept)]
         got = rescore(images, proposals, rescorer, cfg.geometry)
         assert detections_to_json(got) == detections_to_json(out)
 
     def test_rescore_rejects_misaligned_proposals(self, tiny_world, tiny_forest):
+        """Proposals pair with images by frame id: an image without them is
+        named, proposals of other frames are ignored, and their order does
+        not matter."""
         images, _ = tiny_world
         _, proposals = propose(images, tiny_forest, TINY_SLIDING, 3.0)
-        with pytest.raises(CascadeError, match="proposal lists"):
-            rescore(images, proposals[:-1], identity, TINY_GEOM)
-        with pytest.raises(CascadeError, match="proposal lists"):
-            rescore(images[:-1], proposals, identity, TINY_GEOM)
+        missing = {fid: p for fid, p in proposals.items() if fid != images[4][0]}
+        with pytest.raises(CascadeError, match=f"frame {images[4][0]!r} has no proposals"):
+            rescore(images, missing, identity, TINY_GEOM)
+        out = rescore(images, proposals, identity, TINY_GEOM)
+        assert rescore(images[:-1], proposals, identity, TINY_GEOM) == {
+            fid: out[fid] for fid, _ in images[:-1]}
+        assert rescore(images, dict(reversed(proposals.items())), identity, TINY_GEOM) == out
 
     def test_rescore_rejects_duplicate_frame_ids(self, tiny_world, tiny_forest):
         images, _ = tiny_world
         _, proposals = propose(images[:1], tiny_forest, TINY_SLIDING, 3.0)
-        with pytest.raises(CascadeError, match="duplicate"):
-            rescore(images[:1] * 2, proposals * 2, identity, TINY_GEOM)
+        with pytest.raises(CascadeError, match=f"duplicate frame id {images[0][0]!r}"):
+            rescore(images[:1] * 2, proposals, identity, TINY_GEOM)
 
     def test_rescore_without_rescorer_extracts_no_window(self, tiny_world, tiny_forest,
                                                          monkeypatch):
@@ -247,7 +254,7 @@ class TestProposeRescore:
         monkeypatch.setattr(cascade_module, "extract_window", exploding)
         out = rescore(images, proposals, None, TINY_GEOM)
         assert [out[fid] for fid, _ in images] == [
-            nms_detections(p, NMS_IOU) for p in proposals]
+            nms_detections(p, NMS_IOU) for p in proposals.values()]
         assert any(out.values())
 
     def test_propose_failure_names_frame(self, tiny_world, tiny_forest, monkeypatch):
@@ -345,13 +352,14 @@ class TestTrainCascade:
 
 
 def never_called(*args, **kwargs):  # pragma: no cover - must not run
-    raise AssertionError("trained on frames that do not pair")
+    raise AssertionError("trained on frames that are not all annotated")
 
 
 class TestPairing:
-    """Training rejects images, annotations and proposal lists that do not
-    pair by position, naming the first frame id that differs, before it fits
-    anything."""
+    """Training looks each image's annotation and proposals up by frame id:
+    their order does not matter and entries of other frames are ignored.  An
+    image whose id repeats, or that they lack, is a CascadeError naming the
+    frame before anything is fitted."""
 
     CFG = CascadeTrainConfig(n_trees=2, sliding=TINY_SLIDING, geometry=TINY_GEOM,
                              channel_cfg=TINY_CCFG, forest_negatives_per_frame=2)
@@ -359,32 +367,63 @@ class TestPairing:
     def test_more_images_than_annotations(self, tiny_world, monkeypatch):
         images, frames = tiny_world
         monkeypatch.setattr(cascade_module, "train_forest", never_called)
-        with pytest.raises(CascadeError, match="position 3: image 'w003', annotation None"):
-            train_proposal_forest(images, frames[:3], self.CFG)
+        with pytest.raises(CascadeError, match="frame 'w003' has no annotation"):
+            train_proposal_forest(images, frames[:3] + frames[4:], self.CFG)
+        with pytest.raises(CascadeError, match="frame 'w009' has no annotation"):
+            train_cascade(images, frames[:9], self.CFG)
 
-    def test_more_annotations_than_images(self, tiny_world, monkeypatch):
+    def test_more_annotations_than_images(self, tiny_world):
+        images, frames = tiny_world
+        want = forest_to_json(train_proposal_forest(images[:9], frames[:9], self.CFG))
+        assert forest_to_json(train_proposal_forest(images[:9], frames, self.CFG)) == want
+        proposals = {ann.frame_id: probe_proposals(ann) for ann in frames}
+        rng = np.random.default_rng(0)
+        windows, labels = rescorer_training_pool(images[:9], frames, proposals, self.CFG, rng)
+        kept = {fid: proposals[fid] for fid, _ in images[:9]}
+        want_windows, want_labels = rescorer_training_pool(images[:9], frames[:9], kept,
+                                                           self.CFG, rng)
+        assert np.array_equal(windows, want_windows)
+        assert np.array_equal(labels, want_labels)
+
+    def test_mispaired_frames(self, tiny_world, tmp_path):
+        """Reversed annotations train the same forest and net bytes as
+        annotations in image order."""
+        images, frames = tiny_world
+        cfg = CascadeTrainConfig(
+            n_trees=8, sliding=TINY_SLIDING, geometry=TINY_GEOM,
+            channel_cfg=TINY_CCFG, net_spec=tiny_net_spec(),
+            net_train=TrainConfig(batch=12, epochs=1, extra_epochs=0, seed=0),
+            forest_negatives_per_frame=6,
+        )
+        in_order = train_cascade(images, frames, cfg)
+        backwards = train_cascade(images, frames[::-1], cfg)
+        assert (forest_to_json(backwards.proposal_model)
+                == forest_to_json(in_order.proposal_model))
+        save_rescorer(in_order.rescorer, tmp_path / "a.bin")
+        save_rescorer(backwards.rescorer, tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_repeated_frame_id(self, tiny_world, monkeypatch):
         images, frames = tiny_world
         monkeypatch.setattr(cascade_module, "train_forest", never_called)
-        with pytest.raises(CascadeError, match="position 9: image None, annotation 'w009'"):
-            train_cascade(images[:9], frames, self.CFG)
-
-    def test_mispaired_frames(self, tiny_world, monkeypatch):
-        images, frames = tiny_world
-        monkeypatch.setattr(cascade_module, "train_forest", never_called)
-        with pytest.raises(CascadeError, match="position 0: image 'w000', annotation 'w009'"):
-            train_cascade(images, frames[::-1], self.CFG)
+        with pytest.raises(CascadeError, match="duplicate frame id 'w002'"):
+            train_cascade(images + images[2:3], frames, self.CFG)
+        with pytest.raises(CascadeError, match="duplicate frame id 'w002'"):
+            train_cascade(images, frames + frames[2:3], self.CFG)
 
     def test_rescorer_pool(self, tiny_world):
         images, frames = tiny_world
-        proposals = [[] for _ in images]
+        proposals = {fid: [] for fid, _ in images}
         rng = np.random.default_rng(0)
-        swapped = [frames[1], frames[0]] + frames[2:]
-        with pytest.raises(CascadeError, match="position 0: image 'w000', annotation 'w001'"):
-            rescorer_training_pool(images, swapped, proposals, self.CFG, rng)
-        with pytest.raises(CascadeError, match="9 proposal lists for 10 images"):
-            rescorer_training_pool(images, frames, proposals[1:], self.CFG, rng)
-        with pytest.raises(CascadeError, match="10 proposal lists for 9 images"):
-            train_rescorer(images[:9], frames[:9], proposals, self.CFG)
+        with pytest.raises(CascadeError, match="frame 'w000' has no annotation"):
+            rescorer_training_pool(images, frames[1:], proposals, self.CFG, rng)
+        without_w001 = {fid: p for fid, p in proposals.items() if fid != "w001"}
+        with pytest.raises(CascadeError, match="frame 'w001' has no proposals"):
+            rescorer_training_pool(images, frames, without_w001, self.CFG, rng)
+        with pytest.raises(CascadeError, match="frame 'w001' has no proposals"):
+            train_rescorer(images, frames, without_w001, self.CFG)
+        with pytest.raises(CascadeError, match="duplicate frame id 'w000'"):
+            rescorer_training_pool(images[:1] * 2, frames, proposals, self.CFG, rng)
 
 
 def eager_forest_pool(images, frames, cfg, rng):
@@ -456,8 +495,8 @@ def eager_rescorer_pool(images, frames, proposals, cfg, rng):
     geom = cfg.net_geometry or cfg.geometry
     policy = cfg.policy
     boxes, labels, windows = [], [], []
-    for (_, img), ann, props in zip(images, frames, proposals):
-        cand = [d.box for d in props]
+    for (fid, img), ann in zip(images, frames):
+        cand = [d.box for d in proposals[fid]]
         best = iou_matrix(cand, ann.gt_boxes).max(axis=1, initial=0.0)
         pos = [b for b, o in zip(cand, best)
                if policy.positive_source == "gt+proposals" and o > policy.pos_iou]
@@ -491,7 +530,7 @@ class TestRescorerPool:
         """Boxes in order, labels, windows and the generator's state after
         the draw all equal the oracle's."""
         images, frames = tiny_world
-        proposals = [probe_proposals(ann) for ann in frames]
+        proposals = {ann.frame_id: probe_proposals(ann) for ann in frames}
         cfg = CascadeTrainConfig(
             sliding=TINY_SLIDING, geometry=TINY_GEOM,
             policy=LabelingPolicy("gt+proposals", pos_iou=0.6, neg_iou=0.3,
@@ -526,11 +565,11 @@ class TestRescorerFile:
         return NetModel(spec, seed=4, init_sigma=0.5, first_layer_sigma=0.5)
 
     def test_svm_head_roundtrip(self, tmp_path):
-        head = SvmRescorer(self.model(), np.arange(5.0) / 7, 0.3, "fc1", input_mean=0.45)
+        head = NetRescorer(self.model(), 0.45, np.arange(5.0) / 7, 0.3, "fc1")
         path = tmp_path / "svm.bin"
         save_rescorer(head, path)
         back = load_rescorer(path)
-        assert isinstance(back, SvmRescorer)
+        assert back.w is not None
         assert np.array_equal(back.w, head.w)
         assert (back.b, back.feature_layer, back.input_mean) == (0.3, "fc1", 0.45)
         windows = np.random.default_rng(0).random((3, 8, 6, 3))
@@ -543,14 +582,14 @@ class TestRescorerFile:
         save_net(model, path)
         assert "input_mean" not in read_net(path)[1]
         back = load_rescorer(path)
-        assert isinstance(back, NetRescorer) and back.input_mean == 0.0
+        assert back.w is None and back.input_mean == 0.0
         windows = np.random.default_rng(0).random((3, 8, 6, 3))
         assert np.array_equal(back(windows, None),
                               model.scores(windows.transpose(0, 3, 1, 2)))
 
     def test_rejects_head_that_does_not_fit(self, tmp_path):
         path = tmp_path / "svm.bin"
-        save_rescorer(SvmRescorer(self.model(), np.ones(4), 0.0, "fc1"), path)
+        save_rescorer(NetRescorer(self.model(), 0.0, np.ones(4), 0.0, "fc1"), path)
         with pytest.raises(ValueError, match=str(path)):
             load_rescorer(path)
 

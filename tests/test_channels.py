@@ -296,7 +296,7 @@ class TestComputeChannels:
 
     def test_rejects_gray_input_for_color_kinds(self):
         with pytest.raises(ValueError):
-            compute_channels(np.zeros((10, 10)), ChannelConfig("LUV"))
+            compute_channels(np.zeros((10, 10)), ChannelConfig("G_LUV"))
 
 
 class TestChannelStack:

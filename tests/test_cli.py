@@ -8,7 +8,6 @@ from pedcascade.cascade import (
     CascadeConfig,
     CascadeTrainConfig,
     NetRescorer,
-    SvmRescorer,
     load_rescorer,
     rescorer_training_pool,
     run_cascade,
@@ -17,7 +16,6 @@ from pedcascade.cascade import (
     train_rescorer,
     train_svm_head,
 )
-from pedcascade.channels import ChannelConfig
 from pedcascade.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_dispatch
 from pedcascade.convnet import NET_MAGIC, NetModel, TrainConfig, default_cifarnet
 from pedcascade.data import (
@@ -91,12 +89,10 @@ class TestTrainForest:
 
         paths = sorted((tmp_path / "images").glob("*.ppm"))
         images = [(p.stem, read_pnm(p)) for p in paths]
-        by_id = {f.frame_id: f for f in load_annotations(tmp_path / "annotations.json", "json")}
-        cfg = CascadeTrainConfig(n_trees=2, channel_cfg=ChannelConfig("G_LUV"),
-                                 forest_negatives_per_frame=4, seed=9)
+        frames = load_annotations(tmp_path / "annotations.json", "json")
+        cfg = CascadeTrainConfig(n_trees=2, forest_negatives_per_frame=4, seed=9)
         lib_model = tmp_path / "lib_forest.json"
-        save_forest(train_proposal_forest(images, [by_id[fid] for fid, _ in images], cfg),
-                    lib_model)
+        save_forest(train_proposal_forest(images, frames, cfg), lib_model)
         assert cli_model.read_bytes() == lib_model.read_bytes()
 
     def test_early_stop_warns(self, tmp_path, capsys):
@@ -271,7 +267,7 @@ class TestDetect:
 
 
 def _malform(d, case):
-    """The forest JSON `d` broken in one of eight ways."""
+    """The forest JSON `d` broken in one of nine ways."""
     if case == "missing_trees":
         del d["trees"]
     elif case == "unsupported_version":
@@ -289,6 +285,8 @@ def _malform(d, case):
         d["channel_cfg"]["pre_blur"] = True
     elif case == "orientation_bins":
         d["channel_cfg"]["orientation_bins"] = 8
+    elif case == "removed_kind":
+        d["channel_cfg"]["kind"] = "HOG_L"
     return d
 
 
@@ -309,7 +307,7 @@ class TestMalformedForest:
     @pytest.mark.parametrize("case", ["missing_trees", "unsupported_version",
                                       "empty_tree_list", "tree_weight_missing",
                                       "three_leaves", "rect_outside_window", "pre_blur",
-                                      "orientation_bins"])
+                                      "orientation_bins", "removed_kind"])
     def test_detect_exits_2(self, tmp_path, images_dir, tiny_forest, capsys, case):
         model_path = tmp_path / "forest.json"
         model_path.write_text(json.dumps(_malform(forest_to_json(tiny_forest), case)))
@@ -414,7 +412,7 @@ class TestDetectNet:
         def make(mean):
             if kind == "net":
                 return NetRescorer(model, input_mean=mean)
-            return SvmRescorer(model, w, b, "fc1", input_mean=mean)
+            return NetRescorer(model, mean, w, b, "fc1")
 
         cli, lib = self.cli_and_library(tmp_path, detect_inputs, make(0.4), "centred",
                                         geometry)
@@ -428,19 +426,18 @@ class TestDetectNet:
 @pytest.fixture
 def rescorer_data(tmp_path):
     """Three synthetic frames on disk, random-box proposals for them, and the
-    same inputs in memory, aligned by frame id."""
+    same inputs in memory: the annotations as loaded, the proposals by frame
+    id."""
     assert run(["--out-dir", tmp_path, "synth", "--frames", "3", "--height", "120",
                 "--width", "160", "--seed", "5"]) == EXIT_OK
     images = [(p.stem, read_pnm(p)) for p in sorted((tmp_path / "images").glob("*.ppm"))]
-    by_id = {f.frame_id: f for f in load_annotations(tmp_path / "annotations.json", "json")}
-    frames = [by_id[fid] for fid, _ in images]
+    frames = load_annotations(tmp_path / "annotations.json", "json")
     rng = np.random.default_rng(2)
-    proposals = [[Detection(b, float(rng.random()))
-                  for b in random_boxes(12, (img.height, img.width), rng)]
-                 for _, img in images]
+    proposals = {fid: [Detection(b, float(rng.random()))
+                       for b in random_boxes(12, (img.height, img.width), rng)]
+                 for fid, img in images}
     props_path = tmp_path / "proposals.json"
-    props_path.write_text(json.dumps(detections_to_json(
-        {fid: p for (fid, _), p in zip(images, proposals)})))
+    props_path.write_text(json.dumps(detections_to_json(proposals)))
     args = ["--images", tmp_path / "images", "--annotations", tmp_path / "annotations.json",
             "--proposals", props_path]
     return args, images, frames, proposals
@@ -482,8 +479,7 @@ class TestTrainRescorer:
                                                  np.random.default_rng(0))
         head = train_svm_head(net, windows, labels, SvmConfig())
         loaded = load_rescorer(svm_path)
-        assert isinstance(loaded, SvmRescorer)
-        assert np.array_equal(loaded.w, head.w) and loaded.b == head.b
+        assert loaded.w is not None and np.array_equal(loaded.w, head.w) and loaded.b == head.b
         assert (loaded.feature_layer, loaded.input_mean) == ("fc1", 0.3)
         x = np.stack(windows)
         assert np.array_equal(loaded(x, None), head(x, None))
@@ -591,6 +587,23 @@ class TestTrainRescorer:
         assert not svm_path.exists()
 
 
+@pytest.mark.parametrize("command, out_flag", [("train-forest", "--model-out"),
+                                               ("train-net", "--net-out")])
+def test_image_without_annotation_exits_2(tmp_path, rescorer_data, capsys, command, out_flag):
+    """Each image's annotation is looked up by frame id: an image without one
+    is a data error naming the frame (exit 2), and no model is written."""
+    args, _, frames, _ = rescorer_data
+    ann = tmp_path / "partial.json"
+    ann.write_text(json.dumps(annotations_to_json(frames[1:])))
+    args = args[:3] + [ann] + (args[4:] if command == "train-net" else [])
+    model_out = tmp_path / "model.out"
+    assert run(["--out-dir", tmp_path, command, *args, out_flag, model_out]) == 2 == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert f"frame {frames[0].frame_id!r} has no annotation" in err
+    assert not model_out.exists()
+
+
 def _float_sizes(raw):
     """The net file `raw` with its input sizes written as floats."""
     off = len(NET_MAGIC) + struct.calcsize("<HI")
@@ -691,6 +704,7 @@ def test_manifest_records_the_net(tmp_path, detect_inputs, capsys, command):
     ("train-net", ["--batch", "5"], None, EXIT_USAGE),
     ("train-net", ["--ratio", "1:2", "--batch", "4"], None, EXIT_USAGE),
     ("train-net", [], {"batch": 5}, EXIT_DATA),
+    ("train-forest", ["--channels", "LUV"], None, EXIT_USAGE),  # a removed kind
 ])
 def test_out_of_range_value_writes_nothing(tmp_path, detect_inputs, tiny_world, capsys,
                                            command, values, config, code):
@@ -769,6 +783,9 @@ def _malformed(case, ann, dets):
     if case == "negative_width_gt":
         ann["frames"][0]["gt"][0]["w"] = -1
         return ann
+    if case == "repeated_frame_id":
+        dets["frames"].append({"frame_id": dets["frames"][0]["frame_id"], "detections": []})
+        return dets
     raise ValueError(case)
 
 
@@ -776,9 +793,12 @@ def _malformed(case, ann, dets):
     ("evaluate", "--dets", "no_frames"),
     ("evaluate", "--dets", "string_score"),
     ("evaluate", "--dets", "zero_width_box"),
+    ("evaluate", "--dets", "repeated_frame_id"),
     ("evaluate", "--ann", "negative_width_gt"),
     ("train-forest", "--annotations", "no_frames"),
     ("train-net", "--proposals", "string_score"),
+    ("train-net", "--proposals", "repeated_frame_id"),
+    ("train-svm", "--proposals", "repeated_frame_id"),
     ("train-svm", "--annotations", "negative_width_gt"),
     ("detect", "--images", "truncated_ppm"),
 ])

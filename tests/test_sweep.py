@@ -1,10 +1,10 @@
-import importlib.util
+import json
 import math
-import sys
 from pathlib import Path
 
 import pytest
 
+from pedcascade.cli import cli_dispatch
 from pedcascade.sweep import SweepCell, grid_sweep, sweep_to_csv
 
 
@@ -68,16 +68,18 @@ class TestCsv:
         assert sweep_to_csv([]) == ""
 
 
-def test_net_sweep_script_smoke(tmp_path, monkeypatch, capsys):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_net_sweep.py"
-    spec = importlib.util.spec_from_file_location("run_net_sweep", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    out = tmp_path / "sweep.csv"
-    monkeypatch.setattr(sys, "argv", ["run_net_sweep.py", "--seeds", "1", "--frames", "4",
-                                      "--epochs", "1", "--out", str(out)])
-    script.main()
-    lines = out.read_text().splitlines()
+def test_net_sweep_script_smoke(tmp_path, capsys):
+    """The shipped sweep config runs through `pedcascade sweep`; its task is
+    shrunk in a copy so the smoke test stays small."""
+    shipped = Path(__file__).resolve().parent.parent / "scripts" / "net_sweep.json"
+    cfg = json.loads(shipped.read_text())
+    cfg["task_config"].update(frames=4, epochs=1)
+    small = tmp_path / "net_sweep.json"
+    small.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli_dispatch(["--out-dir", str(out), "sweep", "--config", str(small),
+                         "--seeds-per-cell", "1"]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "fc_units,filters,mean,std,n,error"
     assert len(lines) == 1 + 6
     assert all(line.endswith(",1,") for line in lines[1:])  # no cell failed
