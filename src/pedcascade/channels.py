@@ -84,6 +84,7 @@ def integral_image(planes, pitch: int = 1) -> np.ndarray:
     """Integral images, (..., h//pitch+1, w//pitch+1) with a zero first row
     and column, of a (..., h, w) array or of a list of equal-shape (h, w)
     planes: every pitch-th corner of the full integral image, bit for bit.
+    Planes of any dtype are summed in float64.
 
     Each plane is summed down its columns over all rows, and then along only
     the rows that end a pitch-high band, in the order of the full integral
@@ -102,7 +103,7 @@ def integral_image(planes, pitch: int = 1) -> np.ndarray:
     scratch = None if pitch == 1 else np.empty((h, w), dtype=np.float64)
     for plane, ii in zip(planes, out.reshape(-1, hg + 1, wg + 1)):
         cols = ii[1:, 1:] if scratch is None else scratch
-        np.cumsum(plane, axis=0, out=cols)
+        np.cumsum(plane, axis=0, dtype=np.float64, out=cols)
         rows = cols[pitch - 1::pitch]
         np.cumsum(rows, axis=1, out=rows)
         if scratch is not None:
@@ -114,7 +115,7 @@ def rgb_to_luv(rgb: np.ndarray) -> np.ndarray:
     """CIE L*u*v* from linear RGB (sRGB primaries, D65), rescaled to [0,1].
 
     The (..., 3) result is a view of channel-first storage, so each of its
-    planes is contiguous.
+    planes is contiguous; it has the floating dtype of `rgb`.
     """
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
     x = 0.412453 * r
@@ -167,7 +168,8 @@ def gradient_channels(luminance: np.ndarray, n_bins: int):
     Each pixel's magnitude is assigned entirely to the bin containing its
     (unsigned) orientation in [0, pi), so the orientation channels sum to
     the magnitude channel exactly.  n_bins=0 returns the magnitude alone,
-    with an empty orientation list.
+    with an empty orientation list.  All planes have the floating dtype of
+    `luminance`.
     """
     gx, gy = centered_gradients(luminance)
     mag = gx * gx
@@ -177,7 +179,7 @@ def gradient_channels(luminance: np.ndarray, n_bins: int):
         return mag, []
     theta = np.mod(np.arctan2(gy, gx), np.pi)
     bins = np.minimum((theta / np.pi * n_bins).astype(np.intp), n_bins - 1)
-    oriented = np.zeros(luminance.shape + (n_bins,), dtype=np.float64)
+    oriented = np.zeros(luminance.shape + (n_bins,), dtype=mag.dtype)
     np.put_along_axis(oriented, bins[..., None], mag[..., None], axis=2)
     return mag, [oriented[..., k] for k in range(n_bins)]
 
@@ -186,9 +188,11 @@ def compute_channels(img: Union[Image, np.ndarray], cfg: ChannelConfig,
                      pitch: int = 1) -> ChannelStack:
     """Compute the channel stack for one image, its integrals at `pitch`.
 
-    Color kinds require a 3-plane image.
+    The image is cast to float32 once, so every plane is float32; the
+    integrals are float64 (integral_image).  Color kinds require a 3-plane
+    image.
     """
-    arr = img.data if isinstance(img, Image) else np.asarray(img, dtype=np.float64)
+    arr = np.asarray(img.data if isinstance(img, Image) else img, dtype=np.float32)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"channel kind {cfg.kind} requires a 3-plane image")
 
@@ -207,7 +211,7 @@ def compute_channels(img: Union[Image, np.ndarray], cfg: ChannelConfig,
         else:  # pragma: no cover - guarded by ChannelConfig
             raise ValueError(cfg.kind)
 
-    planes = [np.ascontiguousarray(p, dtype=np.float64) for p in planes]
+    planes = [np.ascontiguousarray(p) for p in planes]
     return ChannelStack(planes, pitch)
 
 

@@ -57,7 +57,7 @@ from .imageops import Image, read_pnm, write_pnm
 from .manifest import RunManifest
 from .svm import SvmConfig
 from .sweep import grid_sweep, sweep_to_csv, task_runner
-from .synth import SynthSpec, synth_dataset
+from .synth import MIN_IMAGE_SIDE, SynthSpec, synth_dataset
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -91,6 +91,8 @@ _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a positive finite numbe
 _NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "a non-negative finite number")
 _FINITE = _checked(float, math.isfinite, "a finite number")
 _UNIT = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+_FRAME_SIDE = _checked(int, lambda v: v >= MIN_IMAGE_SIDE,
+                       f"an integer >= {MIN_IMAGE_SIDE}, the smallest side synthetic shapes fit")
 
 
 def _ratio(text: str) -> Optional[BatchRatio]:
@@ -418,8 +420,8 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("synth", help="generate a synthetic dataset")
     s.add_argument("--frames", type=_POSITIVE_INT, default=50)
-    s.add_argument("--height", type=_POSITIVE_INT, default=240)
-    s.add_argument("--width", type=_POSITIVE_INT, default=320)
+    s.add_argument("--height", type=_FRAME_SIDE, default=240)
+    s.add_argument("--width", type=_FRAME_SIDE, default=320)
     s.add_argument("--clutter", type=_NON_NEGATIVE, default=2.0)
     s.add_argument("--noise", type=_NON_NEGATIVE, default=0.01)
     s.add_argument("--seed", type=int, default=0)

@@ -418,9 +418,10 @@ def detect(
     too small for even the coarsest scale.  Integrals are built and read at
     the largest pitch that divides the stride and every split rectangle's
     coordinates (1 for a forest off that grid); the scores do not depend on
-    it.
+    it.  The frame is cast to float32 once, so its pyramid levels and channel
+    planes are float32, and the integrals and scores float64.
     """
-    arr = img.data if isinstance(img, Image) else np.asarray(img, dtype=np.float64)
+    arr = np.asarray(img.data if isinstance(img, Image) else img, dtype=np.float32)
     pitch = region_pitch([(n.channel, n.rect) for n in model.nodes], cfg.stride)
     nodes = split_nodes(model, pitch)
     win_h, win_w = model.model_window

@@ -108,6 +108,7 @@ def sample_box_bilinear(
     """Sample a (possibly out-of-bounds) source box into an out_h x out_w grid.
 
     Out-of-image coordinates are clamped, which replicates border pixels.
+    A floating `arr` is blended in its own dtype.
     """
     src_x = x0 + (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
     src_y = y0 + (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
@@ -129,8 +130,9 @@ def sample_box_bilinear(
     # (The initial values only keep an empty output empty.)
     lo = y0i.min(initial=H - 1)
     band = arr[lo:y1i.max(initial=0) + 1]
-    tx = tx.reshape((-1,) + (1,) * (arr.ndim - 2))
-    ty = ty.reshape((-1,) + (1,) * (arr.ndim - 1))
+    dtype = np.result_type(arr, 1.0)
+    tx = tx.astype(dtype).reshape((-1,) + (1,) * (arr.ndim - 2))
+    ty = ty.astype(dtype).reshape((-1,) + (1,) * (arr.ndim - 1))
     rows = band.take(x0i, axis=1)
     rows *= 1.0 - tx
     right = band.take(x1i, axis=1)

@@ -12,6 +12,11 @@ from .data import FrameAnnotation, BoxMeta
 from .geometry import Box, iou_matrix
 from .imageops import Image
 
+# The smallest frame side every drawn shape fits: a bright-capped pillar is
+# at least 45 pixels high and at most 0.9 of the frame's height, and a
+# pillar can be 49.5 pixels wide.
+MIN_IMAGE_SIDE = 50
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -30,6 +35,9 @@ class SynthSpec:
             raise ValueError("bad height_range")
         if self.clutter < 0 or self.noise < 0:
             raise ValueError("clutter and noise must be >= 0")
+        if min(self.image_hw) < MIN_IMAGE_SIDE:
+            raise ValueError(f"image_hw {tuple(self.image_hw)} is below the minimum side "
+                             f"{MIN_IMAGE_SIDE} that the drawn shapes fit")
 
 
 def _draw_ellipse(img: np.ndarray, cx, cy, rx, ry, color) -> None:

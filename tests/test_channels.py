@@ -271,7 +271,7 @@ class TestComputeChannels:
         img = rand_rgb(rng)
         stack = compute_channels(img, ChannelConfig("RGB"))
         for c in range(3):
-            assert np.array_equal(stack.channels[c], img[..., c])
+            assert np.array_equal(stack.channels[c], img[..., c].astype(np.float32))
 
     def test_hog_luv_layout_conservation(self):
         rng = np.random.default_rng(7)
@@ -283,7 +283,7 @@ class TestComputeChannels:
     def test_g_luv_planes_are_bit_equal_to_their_parts(self):
         rng = np.random.default_rng(9)
         img = rand_rgb(rng)
-        luv = rgb_to_luv(img)
+        luv = rgb_to_luv(img.astype(np.float32))
         l, u, v = (np.ascontiguousarray(luv[..., k]) for k in range(3))
         mag = gradient_channels(l, 6)[0]
         stack = compute_channels(img, ChannelConfig("G_LUV"))

@@ -34,6 +34,7 @@ from pedcascade.forest import (
 from pedcascade.geometry import Detection
 from pedcascade.imageops import read_pnm, write_pnm
 from pedcascade.svm import SvmConfig
+from pedcascade.synth import MIN_IMAGE_SIDE
 
 
 def run(argv):
@@ -76,6 +77,24 @@ class TestSynth:
         assert run(["--out-dir", out, "synth", flag, "0"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"error: argument {flag}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("size, flag", [(["--height", "40", "--width", "60"], "--height"),
+                                            (["--height", "44"], "--height"),
+                                            (["--width", "49"], "--width")])
+    def test_frame_below_the_minimum_side_is_a_usage_error(self, tmp_path, capsys, size, flag):
+        out = tmp_path / "out"
+        assert run(["--out-dir", out, "synth", "--frames", "2", *size]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {flag}: ")
+        assert f"is not an integer >= {MIN_IMAGE_SIDE}" in err
+        assert not out.exists()
+
+    def test_frame_at_the_minimum_side_renders(self, tmp_path, capsys):
+        side = str(MIN_IMAGE_SIDE)
+        assert run(["--out-dir", tmp_path, "synth", "--frames", "4", "--clutter", "8",
+                    "--height", side, "--width", side]) == EXIT_OK
+        images = sorted((tmp_path / "images").glob("*.ppm"))
+        assert [read_pnm(p).data.shape for p in images] == [(MIN_IMAGE_SIDE,) * 2 + (3,)] * 4
 
 
 class TestTrainForest:

@@ -181,6 +181,19 @@ class TestBilinear:
         for case in cases:
             assert_matches_gather(arr, *case)
 
+    @pytest.mark.parametrize("planes", [(), (3,)])
+    def test_float32_blends_in_float32_near_the_float64_result(self, planes):
+        arr = np.random.default_rng(7).random((15, 21) + planes)
+        cases = [
+            (0.0, 0.0, 21.0, 15.0, 29, 40),     # pyramid upscale
+            (0.0, 0.0, 21.0, 15.0, 7, 10),      # pyramid downscale
+            (-4.5, 10.5, 12.0, 16.0, 32, 16),   # straddles two borders
+        ]
+        for case in cases:
+            got = sample_box_bilinear(arr.astype(np.float32), *case)
+            assert got.dtype == np.float32
+            assert np.max(np.abs(got - sample_box_bilinear(arr, *case))) <= 1e-6
+
     def test_constant_image_stays_constant(self):
         arr = np.full((10, 10), 0.37)
         out = sample_box_bilinear(arr, -5.0, -5.0, 20.0, 20.0, 7, 7)

@@ -44,7 +44,7 @@ print("trees", len(model.trees), model.early_stop)
 """
 
 PINNED = """\
-model 179d0d2244ad719a0cdc94ce6904062b960503230e4e306730dd45481c233965
+model 904146ecfbe2f2d12882e0f94ab55bfa64cb28d12d65e869239008d8e15c077e
 detect aa2bf5b1b69588b5f9308b00b01fe23171d5aee0a893d74887600b6f6bdc8aee
 detect.filtered d90d66f7010bc818adeaf315b6e2120998efedcce7fa1d04cc0ef62196fd6b5f
 detect.dense 7d686ed5f6362fd3d1280d8620634b9ff885368beaf8fc0667bae4d77833f909

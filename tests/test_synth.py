@@ -1,6 +1,6 @@
 import pytest
 
-from pedcascade.synth import SynthSpec, synth_dataset
+from pedcascade.synth import MIN_IMAGE_SIDE, SynthSpec, synth_dataset
 
 
 class TestSpec:
@@ -11,6 +11,19 @@ class TestSpec:
     def test_rejects_bad_height_range(self):
         with pytest.raises(ValueError):
             SynthSpec(height_range=(100.0, 50.0))
+
+    @pytest.mark.parametrize("hw", [(MIN_IMAGE_SIDE - 1, 320), (240, MIN_IMAGE_SIDE - 1),
+                                    (40, 60)])
+    def test_rejects_frames_below_the_minimum_side(self, hw):
+        with pytest.raises(ValueError, match=f"below the minimum side {MIN_IMAGE_SIDE}"):
+            SynthSpec(image_hw=hw)
+
+    @pytest.mark.parametrize("hw", [(MIN_IMAGE_SIDE, MIN_IMAGE_SIDE), (MIN_IMAGE_SIDE, 400),
+                                    (400, MIN_IMAGE_SIDE)])
+    def test_frames_at_the_minimum_side_render(self, hw):
+        # heavy clutter draws every distractor kind many times over
+        images, _ = synth_dataset(SynthSpec(n_frames=20, image_hw=hw, clutter=8.0), seed=1)
+        assert all(img.data.shape == hw + (3,) for img in images)
 
     def test_fixed_ped_count(self):
         _, frames = synth_dataset(SynthSpec(n_frames=4, peds_per_frame=(3, 3)), seed=0)
