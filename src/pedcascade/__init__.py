@@ -15,7 +15,7 @@ from .cascade import (
     train_cascade,
     train_rescorer,
 )
-from .channels import ChannelConfig, ChannelStack, compute_channels, integral_image, rect_sum
+from .channels import ChannelConfig, ChannelStack, compute_channels, integral_image
 from .convnet import (
     NetModel,
     NetSpec,
@@ -35,11 +35,9 @@ from .data import (
     extract_window,
     label_proposals,
     load_annotations,
-    reasonable_filter,
 )
 from .evaluate import (
     EvalCurve,
-    LamrConfig,
     average_precision,
     fp_overlap_histogram,
     height_histogram,
@@ -58,8 +56,8 @@ from .forest import (
     save_forest,
     train_forest,
 )
-from .forest2nn import CompiledNet, compile_forest, soften, to_netmodel, verify_equivalence
-from .geometry import Box, Detection, iou, iou_matrix, match_detections, nms
+from .forest2nn import CompiledNet, compile_forest, soften, verify_equivalence
+from .geometry import Box, Detection, iou_matrix, match_detections, nms
 from .imageops import Image, read_pnm, write_pnm
 from .svm import SvmConfig, train_svm
 from .synth import SynthSpec, synth_dataset

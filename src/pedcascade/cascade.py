@@ -378,18 +378,24 @@ def save_rescorer(rescorer: NetRescorer, path) -> None:
 
 def load_rescorer(path) -> NetRescorer:
     """The NetRescorer in a net file, with its linear head if it has one; a
-    header without an input mean loads as mean 0.0."""
+    header without an input mean loads as mean 0.0.  A non-finite input
+    mean or head is a ValueError naming the file."""
     model, header = read_net(path)
     if model.spec.layers[-1:] != [SoftmaxSpec()] or model.spec.shapes()[-1] != (2,):
         raise ValueError(f"{path}: a rescorer net must end in a 2-class softmax")
     mean = header.get("input_mean", 0.0)
+    if not math.isfinite(mean):
+        raise ValueError(f"{path}: non-finite input mean {mean!r}")
     if "w" not in header:
         return NetRescorer(model, mean)
     layer = header["feature_layer"]
     shape = model.spec.shapes()[model.layer_names.index(layer)]
     if len(header["w"]) != int(np.prod(shape)):
         raise ValueError(f"{path}: SVM head does not fit the {layer} features {shape}")
-    return NetRescorer(model, mean, header["w"], header["b"], layer)
+    head = NetRescorer(model, mean, header["w"], header["b"], layer)
+    if not (np.all(np.isfinite(head.w)) and math.isfinite(head.b)):
+        raise ValueError(f"{path}: the SVM head holds a non-finite value")
+    return head
 
 
 def train_cascade(

@@ -294,14 +294,3 @@ def rect_sums(integrals: np.ndarray, channel, x, y, w, h, ox=0, oy=0):
     s -= integrals[channel, y2, x1]
     s += integrals[channel, y1, x1]
     return s
-
-
-def rect_sum(stack: ChannelStack, channel: int, r: Box) -> float:
-    """Sum of channel values inside an integer-aligned in-bounds rectangle."""
-    x, y, w, h = r.x, r.y, r.w, r.h
-    xi, yi, wi, hi = int(round(x)), int(round(y)), int(round(w)), int(round(h))
-    if max(abs(x - xi), abs(y - yi), abs(w - wi), abs(h - hi)) > 1e-9:
-        raise ValueError(f"rectangle must be integer-aligned: {r}")
-    if xi < 0 or yi < 0 or xi + wi > stack.width or yi + hi > stack.height:
-        raise ValueError(f"rectangle out of bounds: {r}")
-    return float(rect_sums(stack.integrals, *pooling_regions([(channel, r)], stack.pitch)[1:6])[0])

@@ -22,6 +22,7 @@ from .cascade import (
     CascadeConfig,
     CascadeError,
     CascadeTrainConfig,
+    NetRescorer,
     load_rescorer,
     rescorer_training_pool,
     run_cascade,
@@ -43,7 +44,6 @@ from .data import (
     load_annotations,
 )
 from .evaluate import (
-    LamrConfig,
     average_precision,
     fp_overlap_histogram,
     height_histogram,
@@ -52,7 +52,7 @@ from .evaluate import (
     touching_fp_analysis,
 )
 from .forest import SlidingWindowConfig, load_forest, save_forest
-from .forest2nn import compile_forest, soften, to_netmodel, verify_equivalence
+from .forest2nn import compile_forest, soften, verify_equivalence
 from .imageops import Image, read_pnm, write_pnm
 from .manifest import RunManifest
 from .svm import SvmConfig
@@ -130,11 +130,12 @@ def _load_config_file(path: Optional[str]) -> dict:
     return cfg
 
 
-def _load_images(path, color: bool = False) -> List[Tuple[str, Image]]:
+def _load_images(path) -> List[Tuple[str, Image]]:
     """(stem, image) pairs of one PNM file or of every .ppm/.pgm in a directory.
 
-    With `color`, a one-plane image is a DataError naming its file: every
-    forest channel kind needs three planes.
+    A one-plane image is a DataError naming its file: every forest channel
+    kind needs three planes, and a rescorer reads the windows of the frames
+    the forest can run on.
     """
     p = Path(path)
     if p.is_dir():
@@ -146,8 +147,8 @@ def _load_images(path, color: bool = False) -> List[Tuple[str, Image]]:
     images = []
     for f in files:
         img = _load(read_pnm, f, "image")
-        if color and img.planes != 3:
-            raise DataError(f"{f}: grayscale image; forest channels need a color (PPM) image")
+        if img.planes != 3:
+            raise DataError(f"{f}: grayscale image; the cascade reads color (PPM) images")
         images.append((f.stem, img))
     return images
 
@@ -160,6 +161,17 @@ def _load(loader, path, kind: str, *args):
         raise DataError(f"{path}: malformed {kind} file ({type(exc).__name__}: {exc})") from exc
 
 
+def _load_net(path) -> NetRescorer:
+    """The rescorer in the net file `path`; a net whose input is not the 3
+    planes of a color window is a DataError naming the file."""
+    rescorer = _load(load_rescorer, path, "net")
+    shape = rescorer.model.spec.input_shape
+    if len(shape) != 3 or shape[0] != 3:
+        raise DataError(f"{path}: the net reads {shape[0]}-plane windows, but the cascade's "
+                        "color windows have 3 planes")
+    return rescorer
+
+
 def _read_detections(path):
     return detections_from_json(json.loads(Path(path).read_text()))
 
@@ -168,7 +180,7 @@ def _cascade_config(args, threshold: float = 0.0, proposals_avg: float = 3.0) ->
     """The cascade `detect` and `bench` run: the --model forest, rescored by
     the --net rescorer when one is given, on windows of the net's input size."""
     forest = _load(load_forest, args.model, "forest")
-    rescorer = _load(load_rescorer, args.net, "net") if args.net else None
+    rescorer = _load_net(args.net) if args.net else None
     return CascadeConfig(
         proposal_model=forest,
         rescorer=rescorer,
@@ -234,7 +246,7 @@ def _cmd_train_forest(args) -> int:
             raise ValueError(f"trees must be a positive integer, got {n_trees!r}")
     except (TypeError, ValueError) as exc:
         raise DataError(f"{args.config}: bad config ({exc})") from exc
-    images = _load_images(args.images, color=True)
+    images = _load_images(args.images)
     frames = _load(load_annotations, args.annotations, "annotation", args.format)
     _write_manifest(
         args, "train-forest",
@@ -265,7 +277,7 @@ def _cmd_compile_forest(args) -> int:
         print(f"{report.decision_mismatches} mismatches over {report.samples} windows, "
               f"max score diff {report.max_score_diff:.3e}")
     if args.net_out:
-        save_net(to_netmodel(soften(net, args.sharpness)), args.net_out)
+        save_net(soften(net, args.sharpness), args.net_out)
         print(f"softened net (sharpness {args.sharpness}) -> {args.net_out}")
     return EXIT_OK
 
@@ -304,7 +316,7 @@ def _cmd_train_net(args) -> int:
 
 def _cmd_train_svm(args) -> int:
     images, frames, proposals = _rescorer_inputs(args)
-    net = _load(load_rescorer, args.net, "net")
+    net = _load_net(args.net)
     if args.feature_layer not in net.model.layer_names:
         raise DataError(f"{args.net}: no layer named {args.feature_layer!r} "
                         f"(layers: {', '.join(net.model.layer_names)})")
@@ -327,7 +339,7 @@ def _cmd_train_svm(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    images = _load_images(args.images, color=True)
+    images = _load_images(args.images)
     cfg = _cascade_config(args, args.threshold, args.proposals_avg)
     _write_manifest(args, "detect", {"threshold": args.threshold, "avg": args.proposals_avg},
                     {}, [args.model, args.net])
@@ -348,10 +360,9 @@ def _cmd_evaluate(args) -> int:
     _write_manifest(args, f"evaluate {args.metric}", {"metric": args.metric}, {},
                     [args.dets, args.ann])
     out = _out_dir(args)
-    cfg = LamrConfig()
     try:
         if args.metric == "lamr":
-            curve, summary = lamr(dets, frames, cfg)
+            curve, summary = lamr(dets, frames)
         elif args.metric == "ap":
             curve, summary = average_precision(dets, frames)
         elif args.metric == "recall":
@@ -361,7 +372,7 @@ def _cmd_evaluate(args) -> int:
             curve = fp_overlap_histogram(dets, frames)
             summary = curve.summary
         elif args.metric == "touching-fp":
-            mr_std, mr_filt, delta = touching_fp_analysis(dets, frames, cfg)
+            mr_std, mr_filt, delta = touching_fp_analysis(dets, frames)
             print(f"standard {mr_std:.5f} filtered {mr_filt:.5f} delta {delta:.5f}")
             return EXIT_OK
         elif args.metric == "heights":
@@ -396,7 +407,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    images = _load_images(args.images, color=True)
+    images = _load_images(args.images)
     cfg = _cascade_config(args)
     _write_manifest(args, "bench", {}, {}, [args.model, args.net])
     _, report = run_cascade(images, cfg)

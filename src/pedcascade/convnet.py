@@ -628,7 +628,8 @@ def save_net(model: NetModel, path, extra: Optional[dict] = None) -> None:
 
 def read_net(path) -> Tuple[NetModel, dict]:
     """The model in a net file and the file's JSON header.  A file of another
-    size than its header declares is a ValueError naming it."""
+    size than its header declares, or with a non-finite weight, is a
+    ValueError naming it."""
     raw = Path(path).read_bytes()
     off = len(NET_MAGIC) + struct.calcsize("<HI")
     if raw[: len(NET_MAGIC)] != NET_MAGIC or len(raw) < off:
@@ -649,4 +650,6 @@ def read_net(path) -> Tuple[NetModel, dict]:
         for p in layer.params:
             p[...] = np.frombuffer(raw, dtype="<f8", count=p.size, offset=off).reshape(p.shape)
             off += p.size * 8
+            if not np.all(np.isfinite(p)):
+                raise ValueError(f"{path}: a weight tensor holds a non-finite value")
     return model, manifest

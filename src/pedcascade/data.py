@@ -226,31 +226,6 @@ def detections_from_json(d: dict) -> Dict[str, List[Detection]]:
 
 
 # ---------------------------------------------------------------------------
-# filtering
-
-REASONABLE_MIN_HEIGHT = 50.0
-REASONABLE_MAX_OCCLUSION = 1  # partial
-
-
-def reasonable_filter(frames: Sequence[FrameAnnotation]) -> List[FrameAnnotation]:
-    """Keep GT boxes at least 50 px tall and at most partially occluded;
-    demoted boxes become ignore regions."""
-    out = []
-    for f in frames:
-        kept_boxes, kept_meta, demoted = [], [], []
-        for b, m in zip(f.gt_boxes, f.gt_meta):
-            if m.height >= REASONABLE_MIN_HEIGHT and m.occlusion <= REASONABLE_MAX_OCCLUSION:
-                kept_boxes.append(b)
-                kept_meta.append(m)
-            else:
-                demoted.append(b)
-        out.append(
-            FrameAnnotation(f.frame_id, kept_boxes, list(f.ignore_boxes) + demoted, kept_meta)
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # proposal labeling
 
 LABEL_POS, LABEL_NEG, LABEL_IGNORE = "pos", "neg", "ignore"

@@ -38,8 +38,10 @@ class EvalCurve:
             out.write(f"{float(xv)!r},{float(yv)!r}\n")
         return out.getvalue()
 
-    def to_svg(self, width: int = 640, height: int = 480) -> str:
-        """Minimal self-contained SVG polyline plot (deterministic output)."""
+    def to_svg(self) -> str:
+        """Minimal self-contained 640x480 SVG polyline plot (deterministic
+        output)."""
+        width, height = 640, 480
         if self.x.size == 0:
             pts = ""
         else:
@@ -58,11 +60,12 @@ class EvalCurve:
         )
 
 
-@dataclass(frozen=True)
-class LamrConfig:
-    fppi_points: Tuple[float, ...] = tuple(np.logspace(-2.0, 0.0, 9))
-    match_iou: float = 0.5
-    mr_floor: float = 1e-5
+# The Caltech evaluation protocol (Dollar et al., TPAMI 2012): a detection
+# matches at IoU >= 0.5, the miss rate is sampled at nine FPPI points evenly
+# spaced in log space over [1e-2, 1], and floored before the geometric mean.
+MATCH_IOU = 0.5
+FPPI_POINTS = tuple(np.logspace(-2.0, 0.0, 9))
+MR_FLOOR = 1e-5
 
 
 def _check_frames(dets_by_frame, annotations) -> None:
@@ -83,7 +86,7 @@ def _count_gt(annotations, metric: str) -> int:
     return n_gt
 
 
-def _matched_frames(dets_by_frame, annotations, match_iou: float):
+def _matched_frames(dets_by_frame, annotations, match_iou: float = MATCH_IOU):
     """Yields (annotation, its detection list, their MatchResult) for every
     frame, in annotation order; the frames are checked before the first."""
     _check_frames(dets_by_frame, annotations)
@@ -95,7 +98,6 @@ def _matched_frames(dets_by_frame, annotations, match_iou: float):
 def _classify_all(
     dets_by_frame: Dict[str, Sequence[Detection]],
     annotations: Sequence[FrameAnnotation],
-    match_iou: float,
 ):
     """One greedy matching pass per frame at threshold -inf.
 
@@ -105,7 +107,7 @@ def _classify_all(
     (tp_scores, fp_scores).
     """
     tp_scores, fp_scores = [], []
-    for _, dets, res in _matched_frames(dets_by_frame, annotations, match_iou):
+    for _, dets, res in _matched_frames(dets_by_frame, annotations):
         tp_scores.extend(dets[i].score for i, _ in res.pairs)
         fp_scores.extend(dets[i].score for i in res.unmatched_detections)
     return np.sort(np.asarray(tp_scores)), np.sort(np.asarray(fp_scores))
@@ -114,15 +116,14 @@ def _classify_all(
 def lamr(
     dets_by_frame: Dict[str, Sequence[Detection]],
     annotations: Sequence[FrameAnnotation],
-    cfg: LamrConfig = LamrConfig(),
 ) -> Tuple[EvalCurve, float]:
     """Log-average miss rate over the reference FPPI points.
 
     The summary is the geometric mean of the miss rate sampled (as a step
-    function) at the reference FPPI points, floored at cfg.mr_floor.
+    function) at FPPI_POINTS, floored at MR_FLOOR.
     """
     n_gt, n_frames = _count_gt(annotations, "miss rate"), len(annotations)
-    tp_s, fp_s = _classify_all(dets_by_frame, annotations, cfg.match_iou)
+    tp_s, fp_s = _classify_all(dets_by_frame, annotations)
 
     thresholds = np.unique(np.concatenate([tp_s, fp_s]))[::-1]
     if thresholds.size == 0:
@@ -137,14 +138,14 @@ def lamr(
     fppi_sorted = fppi[order]
     mr_sorted = mr[order]
 
-    sampled = np.empty(len(cfg.fppi_points))
-    for i, ref in enumerate(cfg.fppi_points):
+    sampled = np.empty(len(FPPI_POINTS))
+    for i, ref in enumerate(FPPI_POINTS):
         j = np.searchsorted(fppi_sorted, ref, side="right") - 1
         # no threshold reaches this FPPI: fall back to the lowest threshold
         sampled[i] = mr_sorted[j] if j >= 0 else mr[-1]
-    summary = float(np.exp(np.mean(np.log(np.maximum(sampled, cfg.mr_floor)))))
+    summary = float(np.exp(np.mean(np.log(np.maximum(sampled, MR_FLOOR)))))
     curve = EvalCurve(
-        x=np.asarray(cfg.fppi_points), y=sampled, summary=summary, kind="mr_fppi",
+        x=np.asarray(FPPI_POINTS), y=sampled, summary=summary, kind="mr_fppi",
         meta={"n_gt": n_gt, "n_frames": n_frames},
     )
     return curve, summary
@@ -153,13 +154,11 @@ def lamr(
 def average_precision(
     dets_by_frame: Dict[str, Sequence[Detection]],
     annotations: Sequence[FrameAnnotation],
-    match_iou: float = 0.5,
-    interp_points: int = 11,
 ) -> Tuple[EvalCurve, float]:
-    """11-point interpolated average precision (matching at IoU 0.5)."""
+    """11-point interpolated average precision (matching at MATCH_IOU)."""
     n_gt = _count_gt(annotations, "AP")
     rows = []  # (score, is_tp)
-    for _, dets, res in _matched_frames(dets_by_frame, annotations, match_iou):
+    for _, dets, res in _matched_frames(dets_by_frame, annotations):
         rows.extend((dets[i].score, 1) for i, _ in res.pairs)
         rows.extend((dets[i].score, 0) for i in res.unmatched_detections)
     rows.sort(key=lambda r: -r[0])
@@ -170,8 +169,8 @@ def average_precision(
     with np.errstate(invalid="ignore"):
         precision = np.where(tp_cum + fp_cum > 0, tp_cum / (tp_cum + fp_cum), 0.0)
 
-    ref = np.linspace(0.0, 1.0, interp_points)
-    interp = np.empty(interp_points)
+    ref = np.linspace(0.0, 1.0, 11)
+    interp = np.empty(ref.size)
     for i, r in enumerate(ref):
         mask = recall >= r
         interp[i] = float(precision[mask].max()) if np.any(mask) else 0.0
@@ -204,15 +203,14 @@ def recall_vs_iou(
 def fp_overlap_histogram(
     dets_by_frame: Dict[str, Sequence[Detection]],
     annotations: Sequence[FrameAnnotation],
-    n_bins: int = 10,
-    match_iou: float = 0.5,
 ) -> EvalCurve:
     """Histogram over max-IoU-with-GT of false positives that overlap GT.
 
-    Bin i covers IoU in (i/n_bins, (i+1)/n_bins]; x holds bin upper edges.
+    Bin i of ten covers IoU in (i/10, (i+1)/10]; x holds bin upper edges.
     """
+    n_bins = 10
     counts = np.zeros(n_bins)
-    for ann, dets, res in _matched_frames(dets_by_frame, annotations, match_iou):
+    for ann, dets, res in _matched_frames(dets_by_frame, annotations):
         best = iou_matrix([d.box for d in dets], ann.gt_boxes).max(axis=1, initial=0.0)
         for i in res.unmatched_detections:
             if best[i] > 0.0:
@@ -225,30 +223,28 @@ def fp_overlap_histogram(
 def touching_fp_analysis(
     dets_by_frame: Dict[str, Sequence[Detection]],
     annotations: Sequence[FrameAnnotation],
-    cfg: LamrConfig = LamrConfig(),
 ):
     """LAMR before and after deleting every false positive that touches
     (IoU > 0 with) any annotation, GT or ignore.
 
     Returns (mr_standard, mr_filtered, delta); delta >= 0.
     """
-    _, mr_standard = lamr(dets_by_frame, annotations, cfg)
+    _, mr_standard = lamr(dets_by_frame, annotations)
 
     filtered: Dict[str, List[Detection]] = {}
-    for ann, dets, res in _matched_frames(dets_by_frame, annotations, cfg.match_iou):
+    for ann, dets, res in _matched_frames(dets_by_frame, annotations):
         all_ann = list(ann.gt_boxes) + list(ann.ignore_boxes)
         touching = iou_matrix([d.box for d in dets], all_ann).max(axis=1, initial=0.0) > 0.0
         drop = {i for i in res.unmatched_detections if touching[i]}
         filtered[ann.frame_id] = [d for i, d in enumerate(dets) if i not in drop]
-    _, mr_filtered = lamr(filtered, annotations, cfg)
+    _, mr_filtered = lamr(filtered, annotations)
     return mr_standard, mr_filtered, mr_standard - mr_filtered
 
 
-def height_histogram(
-    annotations: Sequence[FrameAnnotation], bin_width: float = 10.0
-) -> EvalCurve:
-    """Counts of GT pedestrian heights per [k*w, (k+1)*w) bin; x holds bin
-    left edges."""
+def height_histogram(annotations: Sequence[FrameAnnotation]) -> EvalCurve:
+    """Counts of GT pedestrian heights per [10k, 10(k+1)) pixel bin; x holds
+    bin left edges."""
+    bin_width = 10.0
     heights = [m.height for a in annotations for m in a.gt_meta]
     if not heights:
         return EvalCurve(x=np.empty(0), y=np.empty(0), summary=0.0, kind="histogram")

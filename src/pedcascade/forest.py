@@ -53,6 +53,8 @@ class Tree2:
     def __post_init__(self):
         if len(self.leaf_values) != 4:
             raise ValueError(f"a depth-2 tree needs 4 leaf values, got {len(self.leaf_values)}")
+        if not all(map(math.isfinite, self.leaf_values)):
+            raise ValueError(f"leaf values must be finite, got {self.leaf_values}")
 
 
 @dataclass
@@ -68,6 +70,8 @@ class ForestModel:
     def __post_init__(self):
         if len(self.trees) != len(self.tree_weights) or not self.trees:
             raise ValueError("need equally many trees and weights, at least one")
+        if not all(map(math.isfinite, [*self.tree_weights, self.score_offset])):
+            raise ValueError("tree weights and the score offset must be finite")
 
     @property
     def nodes(self) -> List[SplitNode]:

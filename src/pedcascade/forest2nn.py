@@ -1,16 +1,17 @@
 """Exact compilation of a boosted depth-2 forest into a three-layer network,
-plus an equivalence verifier and a differentiable (softened) export."""
+plus an equivalence verifier and its differentiable (softened) relaxation as
+a trainable NetModel."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .channels import ChannelStack, pooled, pooling_regions
-from .convnet import FCSpec, NetModel, NetSpec, SigmoidSpec, sigmoid
+from .convnet import FCSpec, NetModel, NetSpec, SigmoidSpec
 from .forest import ForestModel, forest_scores, node_decisions, split_nodes
 from .geometry import Box
 
@@ -37,9 +38,8 @@ class CompiledNet:
     """Affine/threshold network equivalent to a ForestModel.
 
     features lists the distinct (channel, rect) pooling regions; the input
-    vector holds their area-normalized rectangle sums.  sharpness = inf means
-    hard-step activations (the exact regime); finite sharpness means
-    sigmoid(sharpness * x).
+    vector holds their area-normalized rectangle sums.  Both hidden layers
+    are hard steps, x > 0.
     """
 
     features: List[Tuple[int, Box]]
@@ -49,17 +49,11 @@ class CompiledNet:
     b2: np.ndarray
     W3: np.ndarray  # (4T,): tree_weight * leaf_value
     b3: float
-    sharpness: float = math.inf
     model_window: Tuple[int, int] = (128, 64)
 
     @property
     def n_trees(self) -> int:
         return self.W1.shape[0] // 3
-
-    def _activate(self, x: np.ndarray) -> np.ndarray:
-        if math.isinf(self.sharpness):
-            return (x > 0).astype(np.float64)
-        return sigmoid(self.sharpness * x)
 
     def forward(self, pooled: np.ndarray):
         """Evaluate on (n, F) pooled-feature rows.
@@ -67,10 +61,8 @@ class CompiledNet:
         Returns (scores, node_decisions, leaf_indicators).
         """
         pooled = np.atleast_2d(pooled)
-        a1 = pooled @ self.W1.T + self.b1
-        z1 = self._activate(a1)
-        a2 = z1 @ self.W2.T + self.b2
-        z2 = self._activate(a2)
+        z1 = (pooled @ self.W1.T + self.b1 > 0).astype(np.float64)
+        z2 = (z1 @ self.W2.T + self.b2 > 0).astype(np.float64)
         scores = z2 @ self.W3 + self.b3
         return scores, z1, z2
 
@@ -121,7 +113,6 @@ class EquivalenceReport:
     samples: int
     decision_mismatches: int
     max_score_diff: float
-    hard_mode: bool
 
 
 def verify_equivalence(
@@ -129,8 +120,8 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Evaluate forest and compiled net on random channel windows.
 
-    In hard-step mode any decision mismatch or score difference above 1e-9
-    raises EquivalenceError; in sigmoid mode the report is informational.
+    Any decision mismatch or score difference above 1e-9 raises
+    EquivalenceError.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -147,34 +138,25 @@ def verify_equivalence(
     forest_dec = node_decisions(split_nodes(model), stack.integrals, ox, oy)
     forest_score = forest_scores(model, forest_dec)
     net_scores, z1, _ = net.forward(net.pooled_features(stack, np.column_stack((ox, oy))))
-    hard = math.isinf(net.sharpness)
-    net_dec = z1 > 0.5 if not hard else z1.astype(bool)
-    mismatches = int(np.sum(net_dec != forest_dec.T))
+    mismatches = int(np.sum(z1.astype(bool) != forest_dec.T))
     max_diff = float(np.max(np.abs(net_scores - forest_score)))
-    report = EquivalenceReport(samples, mismatches, max_diff, hard)
-    if hard and (mismatches > 0 or max_diff > 1e-9):
+    if mismatches > 0 or max_diff > 1e-9:
         raise EquivalenceError(
             f"compiled net diverges from forest: {mismatches} decision "
             f"mismatches, max score diff {max_diff:.3e}"
         )
-    return report
+    return EquivalenceReport(samples, mismatches, max_diff)
 
 
-def soften(net: CompiledNet, sharpness: float) -> CompiledNet:
-    """Replace hard steps with sigmoid(sharpness * x); weights unchanged."""
-    if not (sharpness > 0):
-        raise ValueError("sharpness must be > 0")
-    return replace(net, sharpness=float(sharpness))
-
-
-def to_netmodel(net: CompiledNet) -> NetModel:
-    """Export a softened compiled net in the trainable NetModel format.
+def soften(net: CompiledNet, sharpness: float) -> NetModel:
+    """The net's sigmoid relaxation in the trainable NetModel format: each
+    hard step x > 0 becomes sigmoid(sharpness * x).
 
     The sharpness is folded into the affine layers so plain sigmoid
-    activations reproduce sigmoid(sharpness * x).
+    activations reproduce sigmoid(sharpness * x); net is unchanged.
     """
-    if math.isinf(net.sharpness):
-        raise ValueError("export requires a finite sharpness (call soften first)")
+    if not 0 < sharpness < math.inf:
+        raise ValueError(f"sharpness must be positive and finite, got {sharpness!r}")
     F = len(net.features)
     T = net.n_trees
     spec = NetSpec(
@@ -183,7 +165,7 @@ def to_netmodel(net: CompiledNet) -> NetModel:
     )
     model = NetModel(spec, seed=0)
     fc_layers = [layer for _, layer in model.param_layers()]
-    s = net.sharpness
+    s = float(sharpness)
     fc_layers[0].W[...] = s * net.W1
     fc_layers[0].b[...] = s * net.b1
     fc_layers[1].W[...] = s * net.W2
@@ -191,4 +173,3 @@ def to_netmodel(net: CompiledNet) -> NetModel:
     fc_layers[2].W[...] = net.W3[None, :]
     fc_layers[2].b[...] = net.b3
     return model
-

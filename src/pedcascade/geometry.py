@@ -88,11 +88,6 @@ def iou_matrix(a: Sequence[Box], b: Sequence[Box]) -> np.ndarray:
     return _overlap([v[:, None] for v in _corners(box_array(a))], _corners(box_array(b)))
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes; 0 for disjoint boxes."""
-    return float(iou_matrix([a], [b])[0, 0])
-
-
 def score_order(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Row indices by descending score, then x, then y, then index (stable)."""
     return np.lexsort((boxes[:, 1], boxes[:, 0], -scores))

@@ -26,6 +26,11 @@ from pedcascade.forest import (
 from pedcascade.geometry import Box, iou_matrix
 from pedcascade.imageops import Image
 
+
+def iou(a: Box, b: Box) -> float:
+    """Intersection over union of two boxes; 0 for disjoint boxes."""
+    return float(iou_matrix([a], [b])[0, 0])
+
 TINY_GEOM = WindowGeometry(window=(32, 16), pedestrian_extent=(24, 12))
 TINY_SLIDING = SlidingWindowConfig(
     stride=4, scale_step=2 ** 0.5, min_height=18, score_threshold=-1e9

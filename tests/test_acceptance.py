@@ -21,7 +21,7 @@ from pedcascade.cascade import (
     train_proposal_forest,
     train_rescorer,
 )
-from pedcascade.channels import ChannelStack, rect_sum
+from pedcascade.channels import ChannelStack
 from pedcascade.cli import EXIT_OK, cli_dispatch
 from pedcascade.convnet import (
     ConvSpec,
@@ -42,7 +42,7 @@ from pedcascade.data import (
     LabelingPolicy,
     WindowGeometry,
 )
-from pedcascade.evaluate import LamrConfig, average_precision, lamr, recall_vs_iou
+from pedcascade.evaluate import average_precision, lamr, recall_vs_iou
 from pedcascade.forest import (
     SlidingWindowConfig,
     detect,
@@ -53,6 +53,7 @@ from pedcascade.geometry import Box, Detection, match_detections
 from pedcascade.imageops import write_pnm
 from pedcascade.synth import SynthSpec, synth_dataset
 
+from test_channels import rect_sum
 from test_convnet import check_param_grads
 from test_evaluate import random_instance, ref_ap, ref_lamr, ref_match
 from test_forest2nn import leaf_by_traversal, random_forest
@@ -145,12 +146,11 @@ def test_criterion_03_gradient_checks():
 def test_criterion_04_metric_oracles():
     t0 = time.time()
     rng = np.random.default_rng(104)
-    lcfg = LamrConfig()
     for _ in range(100):
         dets, ann = random_instance(rng)
 
-        got = ref_lamr(dets, ann, lcfg)
-        _, fast = lamr(dets, ann, lcfg)
+        got = ref_lamr(dets, ann)
+        _, fast = lamr(dets, ann)
         assert abs(got - fast) <= 1e-9
 
         assert abs(ref_ap(dets, ann) - average_precision(dets, ann)[1]) <= 1e-9

@@ -12,11 +12,22 @@ from pedcascade.channels import (
     compute_channels,
     gradient_channels,
     integral_image,
-    rect_sum,
+    pooling_regions,
     rect_sums,
     rgb_to_luv,
 )
 from pedcascade.geometry import Box
+
+
+def rect_sum(stack: ChannelStack, channel: int, r: Box) -> float:
+    """Sum of channel values inside an integer-aligned in-bounds rectangle."""
+    x, y, w, h = r.x, r.y, r.w, r.h
+    xi, yi, wi, hi = int(round(x)), int(round(y)), int(round(w)), int(round(h))
+    if max(abs(x - xi), abs(y - yi), abs(w - wi), abs(h - hi)) > 1e-9:
+        raise ValueError(f"rectangle must be integer-aligned: {r}")
+    if xi < 0 or yi < 0 or xi + wi > stack.width or yi + hi > stack.height:
+        raise ValueError(f"rectangle out of bounds: {r}")
+    return float(rect_sums(stack.integrals, *pooling_regions([(channel, r)], stack.pitch)[1:6])[0])
 
 
 def rand_rgb(rng, h=24, w=18):

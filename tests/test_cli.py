@@ -32,7 +32,7 @@ from pedcascade.forest import (
     save_forest,
 )
 from pedcascade.geometry import Detection
-from pedcascade.imageops import read_pnm, write_pnm
+from pedcascade.imageops import Image, read_pnm, write_pnm
 from pedcascade.svm import SvmConfig
 from pedcascade.synth import MIN_IMAGE_SIDE
 
@@ -286,7 +286,7 @@ class TestDetect:
 
 
 def _malform(d, case):
-    """The forest JSON `d` broken in one of nine ways."""
+    """The forest JSON `d` broken in one of twelve ways."""
     if case == "missing_trees":
         del d["trees"]
     elif case == "unsupported_version":
@@ -306,6 +306,12 @@ def _malform(d, case):
         d["channel_cfg"]["orientation_bins"] = 8
     elif case == "removed_kind":
         d["channel_cfg"]["kind"] = "HOG_L"
+    elif case == "nan_tree_weight":
+        d["tree_weights"][0] = float("nan")
+    elif case == "nan_leaf":
+        d["trees"][-1]["leaves"][2] = float("nan")
+    elif case == "infinite_score_offset":
+        d["score_offset"] = float("inf")
     return d
 
 
@@ -326,7 +332,8 @@ class TestMalformedForest:
     @pytest.mark.parametrize("case", ["missing_trees", "unsupported_version",
                                       "empty_tree_list", "tree_weight_missing",
                                       "three_leaves", "rect_outside_window", "pre_blur",
-                                      "orientation_bins", "removed_kind"])
+                                      "orientation_bins", "removed_kind",
+                                      "nan_tree_weight", "nan_leaf", "infinite_score_offset"])
     def test_detect_exits_2(self, tmp_path, images_dir, tiny_forest, capsys, case):
         model_path = tmp_path / "forest.json"
         model_path.write_text(json.dumps(_malform(forest_to_json(tiny_forest), case)))
@@ -623,6 +630,29 @@ def test_image_without_annotation_exits_2(tmp_path, rescorer_data, capsys, comma
     assert not model_out.exists()
 
 
+@pytest.mark.parametrize("command, out_flag", [("train-net", "--net-out"),
+                                               ("train-svm", "--svm-out")])
+def test_grayscale_image_exits_2(tmp_path, rescorer_data, capsys, command, out_flag):
+    """The rescorers read images as train-forest and detect do: a grayscale
+    frame is a data error naming its file (exit 2), and nothing is written."""
+    args, images, _, _ = rescorer_data
+    gray = tmp_path / "gray"
+    gray.mkdir()
+    for fid, img in images:
+        write_pnm(gray / f"{fid}.pgm", Image(img.data.mean(axis=2)))
+    args = ["--images", gray] + args[2:]
+    if command == "train-svm":
+        net_path = tmp_path / "net.bin"
+        save_rescorer(NetRescorer(small_net()), net_path)
+        args += ["--net", net_path]
+    out = tmp_path / "model.out"
+    capsys.readouterr()
+    assert run(["--out-dir", tmp_path, command, *args, out_flag, out]) == 2 == EXIT_DATA
+    assert capsys.readouterr().err == (f"data error: {gray / images[0][0]}.pgm: grayscale "
+                                       "image; the cascade reads color (PPM) images\n")
+    assert not out.exists()
+
+
 def _float_sizes(raw):
     """The net file `raw` with its input sizes written as floats."""
     off = len(NET_MAGIC) + struct.calcsize("<HI")
@@ -634,8 +664,16 @@ def _float_sizes(raw):
 
 
 def _net_file(tmp_path, case, model_path):
-    """A net file the rescorer reader must reject, broken in one of five ways."""
+    """A net file the rescorer reader must reject, broken in one of eight ways."""
     path = tmp_path / f"{case}.bin"
+    if case in ("nan_weights", "nan_input_mean", "nan_svm_head"):
+        model = small_net()
+        if case == "nan_weights":
+            model.param_layers()[1][1].W[0, 0] = np.nan
+        head = (np.array([0.5, np.nan, 0.5, 0.5]), 0.1) if case == "nan_svm_head" else ()
+        mean = np.nan if case == "nan_input_mean" else 0.2
+        save_rescorer(NetRescorer(model, mean, *head), path)
+        return path
     if case == "forest_export":  # a 1-output FC net, not a 2-class softmax
         assert run(["--out-dir", tmp_path, "compile-forest", "--model", model_path,
                     "--net-out", path]) == EXIT_OK
@@ -654,13 +692,11 @@ class TestMalformedNet:
     """A net file the rescorer reader rejects is a data error naming the file,
     exit 2, for every subcommand that reads one."""
 
-    @pytest.mark.parametrize("command", ["detect", "bench", "train-svm"])
-    @pytest.mark.parametrize("case", ["truncated", "trailing_bytes", "wrong_magic",
-                                      "forest_export", "float_sizes"])
-    def test_exits_2(self, tmp_path, detect_inputs, tiny_world, capsys, command, case):
-        images_dir, model_path, images = detect_inputs
-        net_path = _net_file(tmp_path, case, model_path)
-        capsys.readouterr()
+    OUTPUTS = ("dets.json", "bench.json", "svm.bin")
+
+    def run_reader(self, tmp_path, detect_inputs, tiny_world, command, net_path):
+        """`command` on the detect inputs with `--net net_path`; its exit code."""
+        images_dir, model_path, _ = detect_inputs
         args = ["--images", images_dir, "--net", net_path]
         if command == "detect":
             args += ["--model", model_path, "--dets-out", tmp_path / "dets.json"]
@@ -673,9 +709,35 @@ class TestMalformedNet:
             props.write_text(json.dumps(detections_to_json({})))
             args += ["--annotations", ann, "--proposals", props,
                      "--svm-out", tmp_path / "svm.bin"]
-        assert run(["--out-dir", tmp_path, command] + args) == 2 == EXIT_DATA
+        return run(["--out-dir", tmp_path, command] + args)
+
+    @pytest.mark.parametrize("command", ["detect", "bench", "train-svm"])
+    @pytest.mark.parametrize("case", ["truncated", "trailing_bytes", "wrong_magic",
+                                      "forest_export", "float_sizes", "nan_weights",
+                                      "nan_input_mean", "nan_svm_head"])
+    def test_exits_2(self, tmp_path, detect_inputs, tiny_world, capsys, command, case):
+        net_path = _net_file(tmp_path, case, detect_inputs[1])
+        capsys.readouterr()
+        assert self.run_reader(tmp_path, detect_inputs, tiny_world, command,
+                               net_path) == 2 == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(net_path) in err
+        assert not any((tmp_path / name).exists() for name in self.OUTPUTS)
+
+    @pytest.mark.parametrize("command", ["detect", "bench", "train-svm"])
+    def test_net_on_one_plane_exits_2(self, tmp_path, detect_inputs, tiny_world, capsys,
+                                      command):
+        """The cascade's windows are color: a net on grayscale windows cannot
+        rescore them."""
+        spec = default_cifarnet(input_channels=1, input_hw=WindowGeometry().window, **SMALL_NET)
+        net_path = tmp_path / "gray.bin"
+        save_rescorer(NetRescorer(NetModel(spec, seed=0)), net_path)
+        assert self.run_reader(tmp_path, detect_inputs, tiny_world, command,
+                               net_path) == 2 == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {net_path}: the net reads 1-plane windows, but the cascade's "
+            "color windows have 3 planes\n")
+        assert not any((tmp_path / name).exists() for name in self.OUTPUTS)
 
     def test_empty_images_dir_exits_2(self, tmp_path, detect_inputs, capsys):
         _, model_path, _ = detect_inputs

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import iou
 from pedcascade.data import (
     BatchRatio,
     BatchSampler,
@@ -23,10 +24,9 @@ from pedcascade.data import (
     label_proposals,
     load_annotations,
     random_boxes,
-    reasonable_filter,
     window_source_box,
 )
-from pedcascade.geometry import Box, Detection, iou
+from pedcascade.geometry import Box, Detection
 
 KITTI_LINE = (
     "Pedestrian 0.00 0 -0.20 712.40 143.00 810.73 307.92 "
@@ -130,26 +130,6 @@ class TestJsonRoundTrips:
     def test_detections_version_check(self):
         with pytest.raises(DataError):
             detections_from_json({"version": 0, "frames": []})
-
-
-class TestFiltering:
-    def test_reasonable_filter_demotes(self):
-        frames = [
-            FrameAnnotation(
-                "f",
-                [Box(0, 0, 20, 60), Box(0, 0, 20, 40), Box(0, 0, 20, 80)],
-                [],
-                [BoxMeta(60.0, 0), BoxMeta(40.0, 0), BoxMeta(80.0, 2)],
-            )
-        ]
-        out = reasonable_filter(frames)
-        assert len(out[0].gt_boxes) == 1
-        assert out[0].gt_boxes[0].h == 60
-        assert len(out[0].ignore_boxes) == 2
-
-    def test_boundary_height_kept(self):
-        frames = [FrameAnnotation("f", [Box(0, 0, 20, 50)], [], [BoxMeta(50.0, 1)])]
-        assert len(reasonable_filter(frames)[0].gt_boxes) == 1
 
 
 class TestLabeling:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import iou
 from pedcascade.data import FrameAnnotation
 from pedcascade.evaluate import (
+    FPPI_POINTS,
+    MATCH_IOU,
+    MR_FLOOR,
     EvalCurve,
-    LamrConfig,
     average_precision,
     fp_overlap_histogram,
     height_histogram,
@@ -12,7 +15,7 @@ from pedcascade.evaluate import (
     recall_vs_iou,
     touching_fp_analysis,
 )
-from pedcascade.geometry import Box, Detection, iou
+from pedcascade.geometry import Box, Detection
 from pedcascade.synth import SynthSpec, synth_dataset
 
 
@@ -42,7 +45,7 @@ def ref_match(dets, gt, ignore, thr):
     return tp, fp
 
 
-def ref_lamr(dets_by_frame, annotations, cfg):
+def ref_lamr(dets_by_frame, annotations):
     """Per-threshold re-matching sweep; no single-pass shortcut."""
     scores = sorted(
         {d.score for dets in dets_by_frame.values() for d in dets}, reverse=True
@@ -56,13 +59,13 @@ def ref_lamr(dets_by_frame, annotations, cfg):
         tp_total = fp_total = 0
         for ann in annotations:
             kept = [d for d in dets_by_frame.get(ann.frame_id, []) if d.score >= t]
-            tp, fp = ref_match(kept, ann.gt_boxes, ann.ignore_boxes, cfg.match_iou)
+            tp, fp = ref_match(kept, ann.gt_boxes, ann.ignore_boxes, MATCH_IOU)
             tp_total += len(tp)
             fp_total += len(fp)
         points.append((fp_total / n_frames, (n_gt - tp_total) / n_gt))
 
     sampled = []
-    for ref in cfg.fppi_points:
+    for ref in FPPI_POINTS:
         feasible = [(f, m) for f, m in points if f <= ref]
         if not feasible:
             sampled.append(points[-1][1])
@@ -70,7 +73,7 @@ def ref_lamr(dets_by_frame, annotations, cfg):
         fmax = max(f for f, _ in feasible)
         # among thresholds tied at fmax, the lowest threshold (latest point)
         sampled.append([m for f, m in feasible if f == fmax][-1])
-    return float(np.exp(np.mean(np.log(np.maximum(sampled, cfg.mr_floor)))))
+    return float(np.exp(np.mean(np.log(np.maximum(sampled, MR_FLOOR)))))
 
 
 def ref_ap(dets_by_frame, annotations, match_iou=0.5, n_points=11):
@@ -207,11 +210,10 @@ class TestLamrBasics:
 class TestLamrOracle:
     def test_matches_reference_sweep(self):
         rng = np.random.default_rng(1)
-        cfg = LamrConfig()
         for trial in range(100):
             dets, ann = random_instance(rng)
-            _, got = lamr(dets, ann, cfg)
-            want = ref_lamr(dets, ann, cfg)
+            _, got = lamr(dets, ann)
+            want = ref_lamr(dets, ann)
             assert got == pytest.approx(want, abs=1e-9), trial
 
 
@@ -333,7 +335,7 @@ class TestHeightHistogram:
                 [BoxMeta(5.0), BoxMeta(15.0), BoxMeta(25.0), BoxMeta(25.0)],
             )
         ]
-        curve = height_histogram(ann, bin_width=10.0)
+        curve = height_histogram(ann)
         assert np.array_equal(curve.x, [0.0, 10.0, 20.0])
         assert np.array_equal(curve.y, [1.0, 1.0, 2.0])
         assert curve.summary == 4

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import TINY_CCFG, TINY_GEOM, aligned_forest
 from pedcascade.channels import ChannelConfig, ChannelStack, compute_channels
+from pedcascade.convnet import sigmoid
 from pedcascade.forest import ForestModel, SplitNode, Tree2, score_window_grid
 from pedcascade.forest2nn import (
     EquivalenceError,
@@ -16,7 +17,6 @@ from pedcascade.forest2nn import (
     _LEAF_WEIGHTS,
     compile_forest,
     soften,
-    to_netmodel,
     verify_equivalence,
 )
 from pedcascade.geometry import Box
@@ -171,19 +171,32 @@ class TestPooledFeaturesPitch:
             net.pooled_features(stack, [(0, 0), origin])
 
 
+def soft_scores(net, sharpness, pooled):
+    """The compiled net's sigmoid relaxation, evaluated directly: each hard
+    step x > 0 becomes sigmoid(sharpness * x), and the output layer is
+    unchanged."""
+    z1 = sigmoid(sharpness * (pooled @ net.W1.T + net.b1))
+    z2 = sigmoid(sharpness * (z1 @ net.W2.T + net.b2))
+    return z2 @ net.W3 + net.b3
+
+
 class TestSoften:
     def test_requires_positive_sharpness(self):
         rng = np.random.default_rng(7)
         net = compile_forest(random_forest(rng, 2))
-        with pytest.raises(ValueError):
-            soften(net, 0.0)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive and finite"):
+                soften(net, bad)
 
     def test_original_is_unchanged(self):
         rng = np.random.default_rng(8)
         net = compile_forest(random_forest(rng, 2))
+        before = [a.copy() for a in (net.W1, net.b1, net.W2, net.b2, net.W3)]
         soft = soften(net, 10.0)
-        assert np.isinf(net.sharpness)
-        assert soft.sharpness == 10.0
+        after = (net.W1, net.b1, net.W2, net.b2, net.W3)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        soft_arrays = [a for _, layer in soft.param_layers() for a in (layer.W, layer.b)]
+        assert not any(np.shares_memory(a, b) for a in soft_arrays for b in after)
 
     def test_high_sharpness_approaches_hard_scores(self):
         rng = np.random.default_rng(9)
@@ -199,25 +212,28 @@ class TestSoften:
         # the limit argument needs pre-activations bounded away from zero
         a1 = pooled @ net.W1.T + net.b1
         mask = np.all(np.abs(a1) >= 0.01, axis=1)
-        soft_scores, _, _ = soft.forward(pooled)
+        soft_scores = soft.forward(pooled)[0][:, 0]
         diff = np.abs(soft_scores - hard_scores)
         assert np.all(diff[mask] <= 1e-6 * max(1.0, np.abs(hard_scores).max()))
 
 
 class TestToNetModel:
+    """soften exports the relaxation as a trainable NetModel."""
+
     def test_requires_finite_sharpness(self):
         rng = np.random.default_rng(10)
         net = compile_forest(random_forest(rng, 2))
-        with pytest.raises(ValueError):
-            to_netmodel(net)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                soften(net, bad)
 
     def test_export_matches_compiled_soft_scores(self):
         rng = np.random.default_rng(11)
         model = random_forest(rng, 6)
-        soft = soften(compile_forest(model), 25.0)
-        exported = to_netmodel(soft)
-        pooled = rng.random((40, len(soft.features)))
-        want, _, _ = soft.forward(pooled)
+        net = compile_forest(model)
+        exported = soften(net, 25.0)
+        pooled = rng.random((40, len(net.features)))
+        want = soft_scores(net, 25.0, pooled)
         got = exported.forward(pooled)[0][:, 0]
         assert np.allclose(got, want, atol=1e-9)
 

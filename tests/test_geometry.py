@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TINY_SLIDING
+from conftest import TINY_SLIDING, iou
 from pedcascade import forest
-from pedcascade.geometry import (Box, Detection, box_array, iou, iou_matrix, match_detections,
-                                 nms)
+from pedcascade.geometry import Box, Detection, box_array, iou_matrix, match_detections, nms
 
 
 def brute_iou(a: Box, b: Box) -> float:

@@ -49,7 +49,7 @@ detect aa2bf5b1b69588b5f9308b00b01fe23171d5aee0a893d74887600b6f6bdc8aee
 detect.filtered d90d66f7010bc818adeaf315b6e2120998efedcce7fa1d04cc0ef62196fd6b5f
 detect.dense 7d686ed5f6362fd3d1280d8620634b9ff885368beaf8fc0667bae4d77833f909
 run_cascade 8ed3b54097ce3dbc7298cbdf15abea741a0bd0974f131b0b33d9f15cd7187ed0
-verify b62a8427bcf6216c478952a3a21b363e984db8f65c28a4c2324f7d05824343b5
+verify 5cce26d0415581d08acbb44844ef81d4d88fae7f78962b3207e375e2b570fce9
 trees 8 False
 """
 

@@ -75,7 +75,7 @@ class TestDataset:
         assert ids == sorted(ids)
 
     def test_pedestrians_overlap_limited(self):
-        from pedcascade.geometry import iou
+        from conftest import iou
 
         _, frames = synth_dataset(SynthSpec(n_frames=8, peds_per_frame=(2, 3)), seed=6)
         for f in frames:
