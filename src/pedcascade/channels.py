@@ -49,9 +49,9 @@ class ChannelStack:
 
     integrals has shape (n_channels, h//pitch+1, w//pitch+1) with a zero
     first row and column per channel, so that a rectangle sum needs exactly
-    four reads.  Its corner (i, j) is the sum over the first i*pitch rows and
-    j*pitch columns, so it reads only rectangles whose coordinates are
-    multiples of the pitch, in those coordinates divided by the pitch.
+    four reads.  Corner (i, j) sums the pitch x pitch cells of the first
+    i*pitch rows and j*pitch columns, so it reads only rectangles on the
+    pitch grid, in their coordinates divided by the pitch.
     """
 
     channels: List[np.ndarray]
@@ -83,13 +83,13 @@ class ChannelStack:
 def integral_image(planes, pitch: int = 1) -> np.ndarray:
     """Integral images, (..., h//pitch+1, w//pitch+1) with a zero first row
     and column, of a (..., h, w) array or of a list of equal-shape (h, w)
-    planes: every pitch-th corner of the full integral image, bit for bit.
+    planes: corner (i, j) sums the first i*pitch rows and j*pitch columns.
     Planes of any dtype are summed in float64.
 
-    Each plane is summed down its columns over all rows, and then along only
-    the rows that end a pitch-high band, in the order of the full integral
-    image; every pitch-th column of those is kept.  At pitch 1 both sums run
-    in place in the output, so the planes are never stacked into a copy.
+    Each plane is summed in C order, whatever its strides, over the pitch
+    rows of each band and then the pitch columns of each cell; only the cells
+    are prefix-summed, so a corner is the full integral image's to rounding,
+    bit for bit at pitch 1.  The planes are never stacked into a copy.
     """
     if pitch < 1:
         raise ValueError(f"integral pitch must be >= 1, got {pitch}")
@@ -100,14 +100,14 @@ def integral_image(planes, pitch: int = 1) -> np.ndarray:
     h, w = planes[0].shape
     hg, wg = h // pitch, w // pitch
     out = np.zeros((*lead, hg + 1, wg + 1), dtype=np.float64)
-    scratch = None if pitch == 1 else np.empty((h, w), dtype=np.float64)
     for plane, ii in zip(planes, out.reshape(-1, hg + 1, wg + 1)):
-        cols = ii[1:, 1:] if scratch is None else scratch
-        np.cumsum(plane, axis=0, dtype=np.float64, out=cols)
-        rows = cols[pitch - 1::pitch]
-        np.cumsum(rows, axis=1, out=rows)
-        if scratch is not None:
-            ii[1:, 1:] = rows[:, pitch - 1::pitch]
+        cells = ii[1:, 1:]
+        plane = np.ascontiguousarray(plane)[:hg * pitch, :wg * pitch]
+        cols = plane.reshape(hg, pitch, wg * pitch).sum(axis=1, dtype=np.float64)
+        # cell columns outermost: numpy sums a short innermost axis slowly
+        np.ascontiguousarray(cols.reshape(hg, wg, pitch).transpose(2, 0, 1)).sum(axis=0, out=cells)
+        np.cumsum(cells, axis=0, out=cells)
+        np.cumsum(cells, axis=1, out=cells)
     return out
 
 

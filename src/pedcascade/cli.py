@@ -2,8 +2,9 @@
 detection, evaluation, sweeps, and timing reports.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Every run writes a RunManifest before its output artifacts.  The output
-directory defaults to $PEDCASCADE_OUT (else the current directory).
+Every run writes a RunManifest before its output artifacts, and a run that
+exits 0 rewrites it with its wall time.  The output directory defaults to
+$PEDCASCADE_OUT (else the current directory).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -200,11 +202,13 @@ def _rescorer_inputs(args):
     return images, frames, {fid: by_id.get(fid, []) for fid, _ in images}
 
 
-def _write_manifest(args, command: str, config: dict, seeds: dict, inputs: Sequence) -> RunManifest:
+def _write_manifest(args, command: str, config: dict, seeds: dict, inputs: Sequence) -> None:
+    """Write the run's manifest and keep it, with its path, on `args` for
+    cli_dispatch to rewrite with the wall time."""
     man = RunManifest(command=command, config=config, seeds=seeds)
     man.record_inputs([p for p in inputs if p and Path(p).exists()])
-    man.write(_out_dir(args) / f"manifest_{command.replace(' ', '_')}.json")
-    return man
+    args.manifest = (man, _out_dir(args) / f"manifest_{command.replace(' ', '_')}.json")
+    man.write(args.manifest[1])
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +531,20 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args)
     except (DataError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDiverged, FloatingPointError, CascadeError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    if code == EXIT_OK and hasattr(args, "manifest"):
+        man, path = args.manifest
+        man.wall_clock_s = time.perf_counter() - start
+        man.write(path)
+    return code
 
 
 def main() -> None:  # console entry point

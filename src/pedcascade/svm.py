@@ -9,17 +9,17 @@ import numpy as np
 
 
 STEP_SIZE = 1.0  # initial step of the 1/t schedule
+ITERATIONS = 4000  # full-batch sub-gradient steps
 
 
 @dataclass(frozen=True)
 class SvmConfig:
     C: float = 1e-3
     feature_layer: str = "fc1"
-    iterations: int = 4000
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError("C must be > 0")
+        if not 0 < self.C < np.inf:
+            raise ValueError(f"C must be positive and finite, got {self.C}")
 
 
 def svm_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, C: float) -> float:
@@ -46,7 +46,7 @@ def train_svm(features: np.ndarray, labels: np.ndarray, cfg: SvmConfig) -> Tuple
     b = 0.0
     w_avg = np.zeros(d)
     b_avg = 0.0
-    for t in range(1, cfg.iterations + 1):
+    for t in range(1, ITERATIONS + 1):
         margins = y * (X @ w + b)
         active = margins < 1.0
         gw = w - cfg.C * (y[active, None] * X[active]).sum(axis=0)

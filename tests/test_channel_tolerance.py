@@ -15,6 +15,10 @@ The bounds:
   detections  on a held-out synthetic set, at least 99% of the oracle's
               detections have an identical box in the fast path, and
               recall@0.5 and LAMR each lie within 0.01 of the oracle's
+
+`integral_image` sums each pitch x pitch cell before its prefix sums; its
+oracle is `full_integral`, the sequential integral image.  A `detect` whose
+stacks are built on `full_integral` is held to the same detection bounds.
 """
 
 from types import SimpleNamespace
@@ -23,6 +27,7 @@ import numpy as np
 import pytest
 
 from pedcascade.cascade import CascadeTrainConfig, train_proposal_forest
+from pedcascade import channels
 from pedcascade.channels import (
     CHANNEL_COUNTS,
     ORIENTATION_BINS,
@@ -46,6 +51,8 @@ from pedcascade.forest import (
 from pedcascade.geometry import NMS_IOU, Box, Detection, nms
 from pedcascade.imageops import bilinear_resize
 from pedcascade.synth import SynthSpec, synth_dataset
+
+from test_channels import full_integral
 
 PLANE_ABS = 1e-6
 INTEGRAL_REL = 1e-6
@@ -161,6 +168,24 @@ def test_detections_match_the_oracle(forest, threshold):
     fast = {f.frame_id: detect(img, forest, cfg) for f, img in zip(frames, images)}
     oracle = {f.frame_id: oracle_detect(img.data, forest, cfg)
               for f, img in zip(frames, images)}
+    n_oracle = sum(map(len, oracle.values()))
+    assert n_oracle > len(frames)
+    same = sum(len({d.box for d in want} & {d.box for d in fast[fid]})
+               for fid, want in oracle.items())
+    assert same >= BOX_MATCH * n_oracle
+    assert abs(recall_vs_iou(fast, frames).summary
+               - recall_vs_iou(oracle, frames).summary) <= METRIC_ABS
+    assert abs(lamr(fast, frames)[1] - lamr(oracle, frames)[1]) <= METRIC_ABS
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1e9])
+def test_detections_match_the_full_integral(forest, threshold, monkeypatch):
+    cfg = SlidingWindowConfig(stride=4, scale_step=2 ** 0.25, min_height=20,
+                              score_threshold=threshold)
+    images, frames = synth_dataset(HELD_OUT, seed=6)
+    fast = {f.frame_id: detect(img, forest, cfg) for f, img in zip(frames, images)}
+    monkeypatch.setattr(channels, "integral_image", full_integral)
+    oracle = {f.frame_id: detect(img, forest, cfg) for f, img in zip(frames, images)}
     n_oracle = sum(map(len, oracle.values()))
     assert n_oracle > len(frames)
     same = sum(len({d.box for d in want} & {d.box for d in fast[fid]})

@@ -30,6 +30,48 @@ def rect_sum(stack: ChannelStack, channel: int, r: Box) -> float:
     return float(rect_sums(stack.integrals, *pooling_regions([(channel, r)], stack.pitch)[1:6])[0])
 
 
+def full_integral(planes, pitch: int = 1) -> np.ndarray:
+    """The sequential integral image at `pitch`, `integral_image`'s oracle:
+    each plane is summed in float64 down its columns over all rows, then
+    along only the rows that end a pitch-high band, and every pitch-th column
+    of those is kept, so it is every pitch-th corner of the pitch-1 integral
+    image bit for bit."""
+    if isinstance(planes, np.ndarray):
+        lead, planes = planes.shape[:-2], planes.reshape((-1,) + planes.shape[-2:])
+    else:
+        lead = (len(planes),)
+    h, w = planes[0].shape
+    hg, wg = h // pitch, w // pitch
+    out = np.zeros((*lead, hg + 1, wg + 1), dtype=np.float64)
+    scratch = None if pitch == 1 else np.empty((h, w), dtype=np.float64)
+    for plane, ii in zip(planes, out.reshape(-1, hg + 1, wg + 1)):
+        cols = ii[1:, 1:] if scratch is None else scratch
+        np.cumsum(plane, axis=0, dtype=np.float64, out=cols)
+        rows = cols[pitch - 1::pitch]
+        np.cumsum(rows, axis=1, out=rows)
+        if scratch is not None:
+            ii[1:, 1:] = rows[:, pitch - 1::pitch]
+    return out
+
+
+# integral_image sums each pitch x pitch cell before its prefix sums, so at a
+# pitch above 1 a corner may differ from full_integral's in the last bits; the
+# bound is relative to the plane's largest absolute corner.
+INTEGRAL_ROUNDING = 1e-12
+
+
+def assert_is_the_full_integral(got, planes, pitch):
+    """got is full_integral(planes, pitch): bit for bit at pitch 1, and to
+    INTEGRAL_ROUNDING of each plane's largest absolute corner above it."""
+    want = full_integral(planes, pitch)
+    assert got.shape == want.shape
+    if pitch == 1:
+        assert np.array_equal(got, want)
+    else:
+        scale = full_integral(np.abs(planes)).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(got - want) <= INTEGRAL_ROUNDING * scale)
+
+
 def rand_rgb(rng, h=24, w=18):
     return rng.random((h, w, 3))
 
@@ -84,18 +126,29 @@ class TestPitchedIntegral:
     )
     @settings(max_examples=300, deadline=None)
     def test_is_every_pitch_th_corner_of_the_full_integral(self, planes, pitch):
-        full = integral_image(planes)
         got = integral_image(planes, pitch)
         assert got.shape == planes.shape[:1] + (planes.shape[1] // pitch + 1,
                                                 planes.shape[2] // pitch + 1)
-        assert np.array_equal(got, full[..., ::pitch, ::pitch])
+        assert np.array_equal(full_integral(planes, pitch), full_integral(planes)[..., ::pitch, ::pitch])
+        assert_is_the_full_integral(got, planes, pitch)
         assert np.array_equal(integral_image(list(planes), pitch), got)
 
     @pytest.mark.parametrize("shape", [(1, 17), (17, 1), (1, 1), (5, 3), (16, 24), (23, 9)])
     @pytest.mark.parametrize("pitch", [2, 4, 8])
     def test_single_rows_columns_and_remainders(self, shape, pitch):
         plane = np.random.default_rng(sum(shape) + pitch).random(shape) * 1e3
-        assert np.array_equal(integral_image(plane, pitch), integral_image(plane)[::pitch, ::pitch])
+        assert_is_the_full_integral(integral_image(plane, pitch), plane, pitch)
+
+    @pytest.mark.parametrize("pitch", [1, 4, 8])
+    def test_strided_planes_sum_as_their_contiguous_copies(self, pitch):
+        rng = np.random.default_rng(pitch)
+        img = rand_rgb(rng, 37, 30).astype(np.float32)  # 30 is no multiple of 4 or 8
+        luv = rgb_to_luv(img)
+        planes = [luv[..., 1], img[..., 2], img[::-1, ::2, 0], img[..., 1].T]
+        for plane in planes:
+            copy = np.ascontiguousarray(plane)
+            assert np.array_equal(integral_image(plane, pitch), integral_image(copy, pitch))
+            assert_is_the_full_integral(integral_image(plane, pitch), copy, pitch)
 
     def test_rejects_pitch_below_one(self):
         with pytest.raises(ValueError, match="pitch"):

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -61,6 +62,12 @@ class TestSynth:
         manifest = json.loads((tmp_path / "manifest_synth.json").read_text())
         assert manifest["command"] == "synth"
         assert manifest["seeds"] == {"seed": 3}
+
+    def test_manifest_records_wall_time(self, tmp_path, capsys):
+        assert run(["--out-dir", tmp_path, "synth", "--frames", "1",
+                    "--height", "60", "--width", "80"]) == EXIT_OK
+        wall = json.loads((tmp_path / "manifest_synth.json").read_text())["wall_clock_s"]
+        assert isinstance(wall, float) and math.isfinite(wall) and wall > 0
 
     def test_deterministic_bytes(self, tmp_path):
         for sub in ("a", "b"):

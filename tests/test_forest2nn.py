@@ -157,7 +157,8 @@ class TestPooledFeaturesPitch:
         planes = [rng.random((80, 48)) for _ in range(3)]
         origins = [(0, 0), (16, 8), (8, 16)]
         got = [net.pooled_features(ChannelStack(planes, g), origins) for g in (1, 4, 8)]
-        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+        assert np.allclose(got[1], got[0], rtol=1e-12, atol=0)
+        assert np.allclose(got[2], got[0], rtol=1e-12, atol=0)
         want = [[planes[c][oy + int(r.y):, ox + int(r.x):][:int(r.h), :int(r.w)].mean()
                  for c, r in net.features] for ox, oy in origins]
         assert np.allclose(got[0], want, rtol=1e-12, atol=0)

@@ -18,6 +18,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SvmConfig(C=0.0)
 
+    @pytest.mark.parametrize("C", [np.nan, np.inf])
+    def test_rejects_non_finite_c(self, C):
+        with pytest.raises(ValueError, match="finite"):
+            SvmConfig(C=C)
+
 
 class TestObjective:
     def test_closed_form_value(self):
@@ -47,7 +52,7 @@ class TestTraining:
     def test_separable_data_classified(self):
         rng = np.random.default_rng(0)
         X, y = make_problem(rng, sep=3.0)
-        w, b = train_svm(X, y, SvmConfig(C=1.0, iterations=2000))
+        w, b = train_svm(X, y, SvmConfig(C=1.0))
         pred = np.sign(X @ w + b)
         assert np.mean(pred == y) >= 0.95
 
@@ -67,7 +72,7 @@ class TestTraining:
                                                  "maxiter": 20000}).fun
                 for _ in range(1)
             )
-            w, b = train_svm(X, y, SvmConfig(C=C, iterations=6000))
+            w, b = train_svm(X, y, SvmConfig(C=C))
             got = svm_objective(w, b, X, y, C)
             assert got <= best * (1 + 1e-3) + 1e-9, (C, got, best)
 
