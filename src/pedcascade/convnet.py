@@ -1,5 +1,6 @@
-"""Small convolutional network with exact forward/backward passes and SGD
-training (momentum, strict batch composition, two-phase learning rate)."""
+"""Small convolutional network with forward/backward passes lowered to
+matrix products, and SGD training (momentum, strict batch composition,
+two-phase learning rate)."""
 
 from __future__ import annotations
 
@@ -21,6 +22,10 @@ class TrainingDiverged(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # layer specs
+
+def _is_integer(n) -> bool:
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
 
 def _require_counts(spec, *names: str) -> None:
     for name in names:
@@ -90,8 +95,7 @@ class NetSpec:
     layers: List[LayerSpec]
 
     def __post_init__(self):
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-                   for n in self.input_shape):
+        if not all(map(_is_integer, self.input_shape)):
             raise ValueError(f"NetSpec.input_shape must hold integers, got {self.input_shape!r}")
         self.shapes()  # validates consistency
 
@@ -164,9 +168,10 @@ def default_cifarnet(
 # (out, cache), and backward(cache, dout, need_dx) reads that cache alone and
 # returns (dx, parameter gradients), with dx None when need_dx is false
 
-# A conv layer builds its im2col columns (Chellapilla et al., 2006) for a
-# chunk of samples at a time: at most this many float64 elements, or one
-# sample's columns if those are more, so no layer holds a whole batch of them
+# Every conv pass is one matrix product per chunk of samples over im2col
+# columns (Chellapilla et al., 2006), built for at most this many float64
+# elements at a time, or one sample's columns if those are more, so no layer
+# holds a whole batch of them
 COLUMN_BLOCK = 2 ** 16
 
 
@@ -178,43 +183,28 @@ def _windows(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     return sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
 
 
-def _chunk_size(per_sample: int) -> int:
-    return max(1, COLUMN_BLOCK // per_sample)
-
-
 def _column_chunks(win: np.ndarray):
     """(a, b, columns of samples a:b) over the batch of a window view, the
-    columns laid out (b - a, c * k * k, oh * ow) as im2col lays them out and
-    built into one reused buffer."""
+    columns laid out (c * k * k, (b - a) * oh * ow) and built into one
+    reused buffer."""
     n, c, oh, ow, k, _ = win.shape
-    step = _chunk_size(c * k * k * oh * ow)
-    buf = np.empty((min(step, n), c, k, k, oh, ow), dtype=win.dtype)
+    step = max(1, COLUMN_BLOCK // (c * k * k * oh * ow))
+    buf = np.empty(c * k * k * min(step, n) * oh * ow, dtype=win.dtype)
     for a in range(0, n, step):
         b = min(a + step, n)
-        cols = buf[: b - a]
-        cols[...] = win[a:b].transpose(0, 1, 4, 5, 2, 3)
-        yield a, b, cols.reshape(b - a, c * k * k, oh * ow)
+        cols = buf[: c * k * k * (b - a) * oh * ow].reshape(c, k, k, b - a, oh, ow)
+        cols[...] = win[a:b].transpose(1, 4, 5, 0, 2, 3)
+        yield a, b, cols.reshape(c * k * k, -1)
 
 
-def _col2im(cols: np.ndarray, out: np.ndarray, k: int, stride: int, oh: int, ow: int):
-    """Add columns (m, c * k * k, oh * ow) into the padded images out
-    (m, c, h, w) at the pixels they were read from, in (i, j) order."""
-    m, c = out.shape[:2]
-    cols = cols.reshape(m, c, k, k, oh, ow)
-    for i in range(k):
-        for j in range(k):
-            out[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, i, j]
-
-
-def _weight_grad(win: np.ndarray, dflat: np.ndarray) -> np.ndarray:
-    """The sum over the batch of dflat[i] @ columns[i].T.  Each sample's
-    product is kept and all are summed in one call, in the order a
-    whole-batch matmul and .sum(axis=0) add them."""
-    n, f = dflat.shape[:2]
-    per_sample = np.empty((n, f, win.shape[1] * win.shape[4] * win.shape[5]))
+def _correlate(win: np.ndarray, wm: np.ndarray) -> np.ndarray:
+    """The (n, rows of wm, oh, ow) products of wm with the columns of the
+    window view `win`, one product per chunk of samples."""
+    n, oh, ow = win.shape[0], win.shape[2], win.shape[3]
+    out = np.empty((n, wm.shape[0], oh, ow))
     for a, b, cols in _column_chunks(win):
-        np.matmul(dflat[a:b], cols.transpose(0, 2, 1), out=per_sample[a:b])
-    return per_sample.sum(axis=0)
+        out[a:b] = (wm @ cols).reshape(-1, b - a, oh, ow).transpose(1, 0, 2, 3)
+    return out
 
 
 class ConvLayer:
@@ -229,29 +219,25 @@ class ConvLayer:
 
     def forward(self, x):
         win = _windows(x, self.spec.kernel, self.spec.stride, self.spec.padding)
-        n, oh, ow = x.shape[0], win.shape[2], win.shape[3]
-        wm = self.W.reshape(self.spec.filters, -1)
-        out = np.empty((n, self.spec.filters, oh * ow))
-        for a, b, cols in _column_chunks(win):
-            np.matmul(wm[None], cols, out=out[a:b])
-        out += self.b[None, :, None]
-        return out.reshape(n, self.spec.filters, oh, ow), (x.shape, win)
+        out = _correlate(win, self.W.reshape(self.spec.filters, -1))
+        out += self.b[:, None, None]
+        return out, (x.shape, win)
 
     def backward(self, cache, dout, need_dx):
         (n, c, h, w), win = cache
-        f, oh, ow = self.spec.filters, win.shape[2], win.shape[3]
-        dflat = dout.reshape(n, f, -1)
-        dW = _weight_grad(win, dflat).reshape(self.W.shape)
-        db = dflat.sum(axis=(0, 2))
+        f, k, s, p = self.spec.filters, self.spec.kernel, self.spec.stride, self.spec.padding
+        dW = sum(dout[a:b].transpose(1, 0, 2, 3).reshape(f, -1) @ cols.T
+                 for a, b, cols in _column_chunks(win))
+        grads = [dW.reshape(self.W.shape), dout.sum(axis=(0, 2, 3))]
         if not need_dx:
-            return None, [dW, db]
-        k, s, p = self.spec.kernel, self.spec.stride, self.spec.padding
-        wm = self.W.reshape(f, -1)
-        dx = np.zeros((n, c, h + 2 * p, w + 2 * p))
-        step = _chunk_size(wm.shape[1] * oh * ow)
-        for a in range(0, n, step):
-            _col2im(np.matmul(wm.T[None], dflat[a : a + step]), dx[a : a + step], k, s, oh, ow)
-        return dx[:, :, p : p + h, p : p + w], [dW, db]
+            return None, grads
+        # dx correlates the flipped kernel with dout spread at the stride
+        # into a zero border of k - 1, cut to the unpadded input's windows
+        oh, ow = dout.shape[2:]
+        spread = np.zeros((n, f, h + 2 * p + k - 1, w + 2 * p + k - 1))
+        spread[:, :, k - 1 : k - 1 + s * oh : s, k - 1 : k - 1 + s * ow : s] = dout
+        flipped = self.W[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        return _correlate(_windows(spread, k, 1, 0)[:, :, p : p + h, p : p + w], flipped), grads
 
 
 class PoolLayer:
@@ -272,34 +258,19 @@ class PoolLayer:
     def forward(self, x):
         views = self._offsets(x)
         first, *rest = views
+        out = first.copy()
         if self.spec.mode == "max":
-            # np.argmax's rule: the first maximum wins, and the first NaN.
-            # np.maximum(v, out) keeps out, the earlier value, on a tie of
-            # -0.0 and +0.0; idx is the first offset equal to the maximum,
-            # found from the last offset back
-            out = first.copy()
             for v in rest:
                 np.maximum(v, out, out=out)
-            nan = np.isnan(out)
-            has_nan = nan.any()
+            # idx is the first offset that holds the maximum, found from the
+            # last offset back
             idx = np.zeros(out.shape, dtype=np.min_scalar_type(len(rest)))
             for t, v in reversed(list(enumerate(views))):
-                won = v == out
-                if has_nan:  # the first NaN wins, with its own bits
-                    first_nan = nan & np.isnan(v)
-                    np.copyto(out, v, where=first_nan)
-                    won |= first_nan
-                idx = np.where(won, idx.dtype.type(t), idx)
+                idx = np.where(v == out, idx.dtype.type(t), idx)
             return out, (x.shape, idx)
-        k = self.spec.size
-        if first.shape[2:] == (1, 1):  # numpy sums a lone window pairwise, not in order
-            n, c = x.shape[:2]
-            out = x[:, :, :k, :k].reshape(n, c, k * k).mean(axis=2).reshape(n, c, 1, 1)
-            return out, (x.shape, None)
-        out = first + 0.0  # the sum starts at +0.0, as numpy's mean does
         for v in rest:
             out += v
-        out /= k * k
+        out /= self.spec.size ** 2
         return out, (x.shape, None)
 
     def backward(self, cache, dout, need_dx):
@@ -422,6 +393,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch", "epochs", "extra_epochs"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"TrainConfig.{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}")
         for name in ("lr", "momentum", "batch", "weight_decay", "init_sigma"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

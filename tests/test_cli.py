@@ -590,8 +590,11 @@ class TestTrainRescorer:
         {"batch": "12"},
         {"net": {"n_classes": 3}},
         {"net": {"input_hw": [32.0, 16.0]}},
+        {"batch": 60.0},
+        {"epochs": 1.5},
     ], ids=["negative_lr", "two_conv_filters", "negative_epochs", "zero_fc_units",
-            "zero_kernel", "string_batch", "three_classes", "float_input_hw"])
+            "zero_kernel", "string_batch", "three_classes", "float_input_hw", "float_batch",
+            "fractional_epochs"])
     def test_bad_config_exits_2(self, tmp_path, rescorer_data, capsys, config):
         args, _, _, _ = rescorer_data
         cfg_path = tmp_path / "net.json"
@@ -600,7 +603,7 @@ class TestTrainRescorer:
         assert run(["--out-dir", tmp_path, "train-net", *args, "--net-out", net_out,
                     "--config", cfg_path]) == 2 == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and str(cfg_path) in err
+        assert err.startswith("data error:") and str(cfg_path) in err and "bad config" in err
         assert not net_out.exists()
 
     def test_unknown_feature_layer_exits_2(self, tmp_path, rescorer_data, capsys,
